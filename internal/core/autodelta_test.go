@@ -260,9 +260,10 @@ func TestMigrationShipsTuningState(t *testing.T) {
 	}
 }
 
-// TestAutoDeltaSurvivesTakeover: the tuned Δ reaches the replicas
-// through the ordinary record log, so a takeover election must grant
-// with the tuned value — not cold-restart from the segment default.
+// TestAutoDeltaSurvivesTakeover: the tuned Δ and the demand history
+// reach the replicas through the ordinary record log, so a takeover
+// election must grant with the tuned value and keep the demand window
+// — not cold-restart from the segment default.
 func TestAutoDeltaSurvivesTakeover(t *testing.T) {
 	o := obs.New()
 	opt := replOptions(o, 3, 2)
@@ -278,7 +279,8 @@ func TestAutoDeltaSurvivesTakeover(t *testing.T) {
 	}
 	n.settle()
 
-	tuned := n.engines[0].LibraryState(1, 0).Delta
+	pre := n.engines[0].LibraryState(1, 0)
+	tuned := pre.Delta
 	if tuned >= seed {
 		t.Fatalf("setup: controller never shrank Δ below the %v seed (got %v)", seed, tuned)
 	}
@@ -293,8 +295,15 @@ func TestAutoDeltaSurvivesTakeover(t *testing.T) {
 	if el := succ.Stats().Elections; el != 1 {
 		t.Fatalf("successor Elections = %d, want 1", el)
 	}
-	if got := succ.LibraryState(1, 0).Delta; got != tuned {
-		t.Errorf("Δ after takeover = %v, want the tuned %v", got, tuned)
+	post := succ.LibraryState(1, 0)
+	if post.Delta != tuned {
+		t.Errorf("Δ after takeover = %v, want the tuned %v", post.Delta, tuned)
+	}
+	// One request reached the successor itself; a count above the old
+	// library's proves the history was elected with the record.
+	if post.Requests <= pre.Requests || post.MeanGap <= 0 {
+		t.Errorf("demand after takeover: requests=%d gap=%v, want > %d requests and a carried gap",
+			post.Requests, post.MeanGap, pre.Requests)
 	}
 	// The post-takeover grant itself must carry the tuned window: a
 	// stale-Δ grant would show up here as the seed.

@@ -412,15 +412,16 @@ func (e *Engine) CreateSegment(meta *mem.Segment) {
 	}
 	sn := e.register(meta)
 	now := e.env.Now()
-	lib := newLibSeg(meta)
+	lib := &libSeg{meta: meta, pages: make([]libPage, meta.Pages)}
 	sn.lib = lib
 	for p := 0; p < meta.Pages; p++ {
 		sn.m.Install(p, nil, mmu.ReadWrite, now)
 		a := sn.m.Aux(p)
 		a.Writer = e.site
 		a.Window = 0 // the creator's initial hold is not a granted window
-		lib.pages[p].writer = e.site
-		lib.pages[p].clock = e.site
+		// meta.Delta is the segment default: it seeds pages whose tuned
+		// value is unknown (blankRecord does the same for a takeover).
+		lib.pages[p] = libPage{writer: e.site, clock: e.site, delta: meta.Delta, lastWriter: mmu.NoWriter}
 		// Seed the trace with the initial placement so a checker reading
 		// it cold knows who holds what (Cycle 0 marks it ungranted).
 		e.emit(obs.Event{Type: obs.EvPageState, Seg: int32(meta.ID), Page: int32(p), Arg: 2})

@@ -62,7 +62,7 @@ type recovery struct {
 	cancel   func() // RecoverTimeout timer
 	// elect is non-nil when this takeover runs as a replicated-log
 	// election (docs/REPLICATION.md) instead of a holder rebuild; the
-	// record then installs from the merged log in installElectedLib.
+	// records then come from the merged log (see takeoverRecord).
 	elect *replElect
 }
 
@@ -193,6 +193,10 @@ func (e *Engine) beginRecovery(sn *segNode) {
 	dead := sn.curLib
 	sn.segEpoch++
 	sn.curLib = e.site
+	// Entering the epoch drops this site's clock-side state of the dead
+	// one, as adoptEpoch does at every other site before it reports: a
+	// rolled-back copy must show in the holdings that build the record.
+	e.purgeEpoch(sn)
 	rc := &recovery{
 		from:    dead,
 		started: e.env.Now(),
@@ -253,84 +257,87 @@ func (e *Engine) recovPeerDone(sn *segNode, s int) {
 	}
 }
 
-// finishRecovery rebuilds the library record from the collected
-// reports, installs it, and resumes granting.
+// finishRecovery ends a takeover: it builds one record per page — from
+// the merged log in an election, from the merged holdings in a rebuild
+// — normalises them the same way, and installs them.
+//
+// Normalising restores Table 1's invariants. Read copies alongside a
+// writer are leftovers of an interrupted cycle and are ordered
+// discarded. A reader-mode page gets a listed clock site, which learns
+// the rebuilt reader mask. A page whose only copy lived on the dead
+// library keeps naming it writer (the orphan fail-fast rule): grants
+// aimed there fail while it is down and work again when it rejoins,
+// where zero-filling would discard the only good copy.
 func (e *Engine) finishRecovery(sn *segNode) {
 	rc := sn.recov
 	if rc == nil {
 		return
 	}
-	if rc.elect != nil {
-		// Replicated takeover: the record comes from the merged log, not
-		// from holder reports (any reports that did arrive were probe
-		// replies and are consumed by resolveIntent).
-		e.installElectedLib(sn)
-		return
-	}
-	if rc.cancel != nil {
-		rc.cancel()
-	}
-	sn.recov = nil
 	seg := int32(sn.meta.ID)
-	lib := newLibSeg(sn.meta)
-	for pg := range lib.pages {
-		p := &lib.pages[pg]
-		rp := rc.got[int32(pg)]
-		if rp != nil && rp.winRank > 0 {
-			// A surviving holder reported the window its copy was granted
-			// with: that IS the page's tuned Δ, so the rebuild keeps it
-			// instead of clobbering it with the segment default.
-			p.delta = rp.window
-		}
+	dead := rc.from
+	recs := make([]libRecord, sn.meta.Pages)
+	for pg := range recs {
+		r := takeoverRecord(sn, rc, int32(pg))
 		switch {
-		case rp == nil:
-			// No surviving copy: the only data is wherever the dead
-			// library left it. Keep naming it writer — grants aimed
-			// there fail fast while it is down and work again when it
-			// rejoins. Zero-filling would discard the only good copy.
-			p.writer = rc.from
-			p.clock = rc.from
-		case rp.writer != mmu.NoWriter:
-			p.writer = rp.writer
-			p.clock = rp.writer
-			p.readers = mmu.Copyset{}
-			// Read copies alongside a writer are leftovers of a write
-			// cycle the crash interrupted mid-collection; order them
-			// discarded to restore Table 1's exclusivity.
-			rp.readers.Remove(rp.writer).ForEach(func(s int) {
+		case r.writer == mmu.NoWriter && r.readers.Empty():
+			r.writer, r.clock = dead, dead
+		case r.writer != mmu.NoWriter:
+			r.clock = r.writer
+			r.readers.Remove(r.writer).ForEach(func(s int) {
 				e.send(s, &wire.Msg{Kind: wire.KInvalOrder, Seg: seg, Page: int32(pg)})
 			})
+			r.readers = mmu.Copyset{}
 		default:
-			p.writer = mmu.NoWriter
-			p.readers = rp.readers
-			clock := rp.clock
-			if clock < 0 || !rp.readers.Has(clock) {
-				if rp.readers.Has(e.site) {
-					clock = e.site
+			if !r.readers.Has(r.clock) {
+				if r.readers.Has(e.site) {
+					r.clock = e.site
 				} else {
-					clock = rp.readers.Sites()[0]
+					r.clock = r.readers.Sites()[0]
 				}
 			}
-			p.clock = clock
-			// Refresh the clock's reader mask to the rebuilt set.
-			e.send(clock, &wire.Msg{
-				Kind: wire.KClockHandoff, Seg: seg, Page: int32(pg),
-				Readers: rp.readers,
+			e.send(r.clock, &wire.Msg{
+				Kind: wire.KClockHandoff, Seg: seg, Page: int32(pg), Readers: r.readers,
 			})
 		}
+		recs[pg] = r
 	}
-	sn.lib = lib
 	e.stats.Recoveries++
 	e.obs.Count(e.site, obs.CRecovery)
 	e.obs.Observe(obs.HRecoverLatency, int64(e.env.Now()-rc.started))
-	e.emit(obs.Event{Type: obs.EvRecover, Seg: seg, Arg: int64(rc.from)})
-	for _, m := range rc.buffered {
-		e.handleLibrary(sn, m)
+	if el := rc.elect; el != nil {
+		e.stats.Elections++
+		e.obs.Count(e.site, obs.CElect)
+		e.emit(obs.Event{Type: obs.EvElect, Seg: seg, From: int32(dead),
+			Cycle: el.bestEpoch, Arg: int64(el.bestIndex)})
 	}
-	rc.buffered = nil
-	for p := int32(0); p < int32(sn.m.Pages()); p++ {
-		e.wakeWaiters(sn, p)
+	e.emit(obs.Event{Type: obs.EvRecover, Seg: seg, Arg: int64(dead)})
+	e.installLibrary(sn, sn.segEpoch, recs)
+}
+
+// takeoverRecord is one page's record before normalisation. An election
+// takes the merged log's latest entry, resolving an in-flight intent
+// from the probed holdings, and scrubs the dead leader from its
+// readers: nothing vouches for that copy. A rebuild takes the reported
+// holders, and the granted window of the most authoritative one as the
+// page's tuned Δ. A page neither source knows gets a blank record,
+// which normalises to an orphan of the dead library.
+func takeoverRecord(sn *segNode, rc *recovery, page int32) libRecord {
+	r := blankRecord(sn)
+	if rc.elect != nil {
+		if ent := rc.elect.pages[page]; ent != nil {
+			r = ent.post
+			if ent.intent {
+				r = resolveIntent(rc, ent)
+			}
+			r.readers = r.readers.Remove(rc.from)
+		}
+	} else if rp := rc.got[page]; rp != nil {
+		r.writer, r.clock, r.readers = rp.writer, rp.clock, rp.readers
+		if rp.winRank > 0 {
+			r.delta = rp.window
+		}
 	}
+	return r
 }
 
 // handleRecoverReply merges one site's holdings report. During recovery
@@ -419,20 +426,7 @@ func (e *Engine) adoptEpoch(sn *segNode, epoch uint32, newLib int) {
 		sn.migOut = nil
 	}
 	sn.migIn = nil
-	e.rollbackSegPend(sn, seg)
-	// Delegated inval subtrees are dead with their epoch: the parent
-	// resolves them through its own epoch handling, and answering it
-	// from the old epoch would be fenced anyway.
-	for k := range e.relay {
-		if k.seg == seg {
-			delete(e.relay, k)
-		}
-	}
-	for k := range e.stash {
-		if k.seg == seg {
-			delete(e.stash, k)
-		}
-	}
+	e.purgeEpoch(sn)
 	if sn.releasing {
 		// In-flight releases died with the old epoch (their eventual
 		// give-up is fenced by the epoch guard in deliveryFailed, and a
@@ -462,15 +456,30 @@ func (e *Engine) adoptEpoch(sn *segNode, epoch uint32, newLib int) {
 	e.reaimRequests(sn)
 }
 
-// rollbackSegPend rolls back every clock-side pending invalidation of
-// the segment, in page order so the emitted page-state events (and any
-// sim work they schedule) land identically across replays.
-func (e *Engine) rollbackSegPend(sn *segNode, seg int32) {
+// purgeEpoch drops the segment's transient state of a superseded
+// epoch. Clock-side pending invalidations roll back, in page order so
+// the emitted page-state events (and any sim work they schedule) land
+// identically across replays. Delegated inval subtrees and stashed
+// copies are dead with their epoch: the parent resolves them through
+// its own epoch handling, and answering it from the old epoch would be
+// fenced anyway.
+func (e *Engine) purgeEpoch(sn *segNode) {
+	seg := int32(sn.meta.ID)
 	for p := int32(0); p < int32(sn.m.Pages()); p++ {
 		k := pageKey{seg: seg, page: p}
 		if pi, ok := e.pend[k]; ok {
 			delete(e.pend, k)
 			e.rollbackPend(sn, p, pi)
+		}
+	}
+	for k := range e.relay {
+		if k.seg == seg {
+			delete(e.relay, k)
+		}
+	}
+	for k := range e.stash {
+		if k.seg == seg {
+			delete(e.stash, k)
 		}
 	}
 }

@@ -42,6 +42,20 @@ type grantCycle struct {
 	attempts int
 }
 
+// outcome is the writer, clock and readers page p holds once its open
+// cycle commits (Table 1's next state).
+func (g *grantCycle) outcome(p *libPage) (writer, clock int, readers mmu.Copyset) {
+	switch {
+	case g.write:
+		return g.to, g.to, mmu.Copyset{}
+	case g.oldWrite:
+		// The downgraded writer becomes (and stays) the clock site.
+		return mmu.NoWriter, g.oldClock, mmu.CopysetOf(g.oldClock).Union(g.batch)
+	default:
+		return p.writer, p.clock, p.readers.Union(g.batch)
+	}
+}
+
 // libPage is the library's authoritative record for one page (§6.0:
 // "record which sites are storing a given page", distinguishing
 // writers from readers).
@@ -72,8 +86,8 @@ type libPage struct {
 	// time those denials reported. flipEWMA tracks write-sharing in
 	// fixed point (flipScale per alternation; see libFinishCycle) and
 	// lastWriter is the previous write grantee it compares against.
-	// All of it ships in the migration record and, via the demand
-	// stats above, survives rehoming.
+	// All of it, with the demand stats above, rides in the libRecord,
+	// so it survives migration and takeover elections.
 	denied     int
 	denRemEWMA time.Duration
 	flipEWMA   int
@@ -81,8 +95,8 @@ type libPage struct {
 
 	// AutoDelta controller state: tuned marks the first-grant clamp
 	// done; tuneAt/tuneCycle/tuneDenied snapshot the last adjustment
-	// for rate limiting (see autoTuneDelta). Deliberately not shipped
-	// on migration — the successor restarts its cooldown fresh.
+	// for rate limiting (see autoTuneDelta). Deliberately not in the
+	// libRecord: a new library restarts its cooldown fresh.
 	tuned      bool
 	tuneAt     time.Duration
 	tuneCycle  uint32
@@ -93,21 +107,6 @@ type libPage struct {
 type libSeg struct {
 	meta  *mem.Segment
 	pages []libPage
-}
-
-func newLibSeg(meta *mem.Segment) *libSeg {
-	l := &libSeg{meta: meta, pages: make([]libPage, meta.Pages)}
-	for i := range l.pages {
-		l.pages[i].writer = mmu.NoWriter
-		l.pages[i].clock = meta.Library
-		// meta.Delta is the segment default: it seeds pages whose tuned
-		// value is unknown. Install paths that know better (migration
-		// records, the replicated log, holder-reported windows) overwrite
-		// it per page so a rebuild never clobbers a tuned Δ it can see.
-		l.pages[i].delta = meta.Delta
-		l.pages[i].lastWriter = mmu.NoWriter
-	}
-	return l
 }
 
 // LibraryPageState is a read-only snapshot for tests and diagnostics.
@@ -168,7 +167,7 @@ func (e *Engine) SetPageDelta(seg, page int32, delta time.Duration) error {
 	sn.lib.pages[page].delta = delta
 	// Δ retunes replicate fire-and-forget: losing one across a takeover
 	// costs tuning quality, never coherence.
-	e.replAppendSet(sn, page, replRecOf(&sn.lib.pages[page]))
+	e.replAppendSet(sn, page)
 	return nil
 }
 
@@ -186,7 +185,7 @@ func (e *Engine) SetSegmentDelta(seg int32, delta time.Duration) error {
 	}
 	for i := range sn.lib.pages {
 		sn.lib.pages[i].delta = delta
-		e.replAppendSet(sn, int32(i), replRecOf(&sn.lib.pages[i]))
+		e.replAppendSet(sn, int32(i))
 	}
 	sn.meta.Delta = delta
 	return nil
@@ -424,7 +423,6 @@ func (e *Engine) libStartReadCycle(sn *segNode, page int32, batch mmu.Copyset) {
 	e.emit(obs.Event{Type: obs.EvGrantStart, Seg: int32(sn.meta.ID), Page: page, Cycle: p.cycle})
 	if p.writer != mmu.NoWriter {
 		// Downgrade the writer; it becomes (and stays) the clock site.
-		prior := replRecOf(p)
 		p.grant = grantCycle{
 			active: true, batch: batch, oldWrite: true, oldClock: p.writer,
 			inval: &wire.Msg{
@@ -432,17 +430,12 @@ func (e *Engine) libStartReadCycle(sn *segNode, page int32, batch mmu.Copyset) {
 				Readers: batch, Delta: delta, Cycle: p.cycle,
 			},
 		}
-		post := replRec{writer: mmu.NoWriter, clock: p.writer, delta: p.delta,
-			readers: mmu.CopysetOf(p.writer).Union(batch)}
-		e.replGateCycleOpen(sn, page, prior, post, p.writer, p.grant.inval)
+		e.replGateCycleOpen(sn, page, p.writer, p.grant.inval)
 		return
 	}
 	// Pure reader extension: no clock check, no invalidation.
-	prior := replRecOf(p)
 	p.grant = grantCycle{active: true, batch: batch, oldClock: p.clock}
-	post := prior
-	post.readers = prior.readers.Union(batch)
-	e.replGateCycleOpen(sn, page, prior, post, p.clock, &wire.Msg{
+	e.replGateCycleOpen(sn, page, p.clock, &wire.Msg{
 		Kind: wire.KAddReader, Seg: int32(sn.meta.ID), Page: page,
 		Readers: batch, Delta: delta, Cycle: p.cycle,
 	})
@@ -460,7 +453,6 @@ func (e *Engine) libStartWriteCycle(sn *segNode, page int32, to int) {
 	e.obs.Count(e.site, obs.CGrantCycle)
 	e.emit(obs.Event{Type: obs.EvGrantStart, Seg: int32(sn.meta.ID), Page: page,
 		To: int32(to), Cycle: p.cycle, Arg: 1})
-	prior := replRecOf(p)
 	p.grant = grantCycle{
 		active: true, write: true, to: to,
 		inval: &wire.Msg{
@@ -469,8 +461,7 @@ func (e *Engine) libStartWriteCycle(sn *segNode, page int32, to int) {
 			Cycle: p.cycle,
 		},
 	}
-	post := replRec{writer: to, clock: to, delta: p.delta}
-	e.replGateCycleOpen(sn, page, prior, post, p.clock, p.grant.inval)
+	e.replGateCycleOpen(sn, page, p.clock, p.grant.inval)
 }
 
 // libFinishCycle commits the completed grant to the authoritative
@@ -482,10 +473,8 @@ func (e *Engine) libFinishCycle(sn *segNode, page int32) {
 		panic("core: finishing inactive cycle")
 	}
 	e.emit(obs.Event{Type: obs.EvGrantEnd, Seg: int32(sn.meta.ID), Page: page, Cycle: p.cycle})
+	p.writer, p.clock, p.readers = g.outcome(p)
 	if g.write {
-		p.writer = g.to
-		p.readers = mmu.Copyset{}
-		p.clock = g.to
 		// Write-sharing indicator: fold whether this write grant changed
 		// hands into the fixed-point flip EWMA. Alternating writers
 		// (ping-pong) drive it toward flipScale; a stable writer decays
@@ -499,15 +488,9 @@ func (e *Engine) libFinishCycle(sn *segNode, page int32) {
 			p.flipEWMA = (3*p.flipEWMA + flip) / 4
 		}
 		p.lastWriter = g.to
-	} else if g.oldWrite {
-		p.readers = mmu.CopysetOf(g.oldClock).Union(g.batch)
-		p.writer = mmu.NoWriter
-		p.clock = g.oldClock
-	} else {
-		p.readers = p.readers.Union(g.batch)
 	}
 	p.busy = false
 	p.grant = grantCycle{}
 	// The committed record supersedes the cycle's intent in the log.
-	e.replAppendSet(sn, page, replRecOf(p))
+	e.replAppendSet(sn, page)
 }

@@ -1,10 +1,8 @@
 package core
 
 import (
-	"encoding/binary"
 	"time"
 
-	"mirage/internal/mmu"
 	"mirage/internal/obs"
 	"mirage/internal/wire"
 )
@@ -204,70 +202,22 @@ func (e *Engine) startMigration(sn *segNode, target int, now time.Duration) {
 	})
 }
 
-// Migration-record layout: per page a fixed header — page u32, writer
-// i32, clock i32, delta u64, then the demand/tuning state (gap EWMA
-// u64, last-request age u64, requests u32, denied u32,
-// denial-remaining EWMA u64, flip EWMA u16, last writer i32), and the
-// copyset length u16 — followed by the readers copyset in its wire
-// form. Chunks stay under wire.MaxData.
+// sendMigrateRecords ships the record to the successor as its log head
+// (one set entry per page) in chunked KMigrate messages; Upgrade marks
+// the final chunk, whose SegEpoch (stamped by transmit) is the epoch the
+// successor's installation must exceed.
 //
-// The demand and tuning fields are what make a rehomed library warm:
-// without them the successor restarted cold (the ROADMAP-noted "demand
-// window forgets on migration"), and the Δ controller would relearn a
-// page it had already converged. lastReq crosses sites as an *age*
-// (now − lastReq at the encoder) and is re-based into the successor's
-// clock domain at install, so the first post-handoff gap measures real
-// request spacing instead of the difference of two unrelated clocks.
-const (
-	migRecordHeader = 4 + 4 + 4 + 8 + 8 + 8 + 4 + 4 + 8 + 2 + 4 + 2
-	migChunkBytes   = 60000
-)
-
-func encodeMigRecord(buf []byte, page int32, p *libPage, now time.Duration) []byte {
-	var h [migRecordHeader]byte
-	binary.BigEndian.PutUint32(h[0:], uint32(page))
-	binary.BigEndian.PutUint32(h[4:], uint32(int32(p.writer)))
-	binary.BigEndian.PutUint32(h[8:], uint32(int32(p.clock)))
-	binary.BigEndian.PutUint64(h[12:], uint64(p.delta))
-	binary.BigEndian.PutUint64(h[20:], uint64(p.gapEWMA))
-	age := time.Duration(0)
-	if p.requests > 0 {
-		age = now - p.lastReq
-	}
-	binary.BigEndian.PutUint64(h[28:], uint64(age))
-	binary.BigEndian.PutUint32(h[36:], uint32(p.requests))
-	binary.BigEndian.PutUint32(h[40:], uint32(p.denied))
-	binary.BigEndian.PutUint64(h[44:], uint64(p.denRemEWMA))
-	binary.BigEndian.PutUint16(h[52:], uint16(p.flipEWMA))
-	binary.BigEndian.PutUint32(h[54:], uint32(int32(p.lastWriter)))
-	binary.BigEndian.PutUint16(h[58:], uint16(p.readers.WireLen()))
-	buf = append(buf, h[:]...)
-	return p.readers.AppendWire(buf)
-}
-
-// sendMigrateRecords ships every page record to the successor in
-// chunked KMigrate messages; Upgrade marks the final chunk, whose
-// SegEpoch (stamped by transmit) is the epoch the successor's
-// installation must exceed.
+// The record carries the demand and tuning state, which is what makes
+// a rehomed library warm: the successor keeps its demand window, and
+// the Δ controller does not relearn a page it had already converged.
 func (e *Engine) sendMigrateRecords(sn *segNode, target int) {
 	seg := int32(sn.meta.ID)
-	lib := sn.lib
-	var data []byte
-	flush := func(last bool) {
+	sendEntries(nil, logHead(sn.lib, e.env.Now()), func(data []byte, _ uint32, final bool) {
 		e.send(target, &wire.Msg{
 			Kind: wire.KMigrate, Seg: seg, Page: -1,
-			Req: int32(target), Upgrade: last, Data: data,
+			Req: int32(target), Upgrade: final, Data: data,
 		})
-		data = nil
-	}
-	now := e.env.Now()
-	for pg := range lib.pages {
-		if len(data) >= migChunkBytes {
-			flush(false)
-		}
-		data = encodeMigRecord(data, int32(pg), &lib.pages[pg], now)
-	}
-	flush(true)
+	})
 }
 
 // abortMigration cancels an in-flight offer and resumes granting. A
@@ -329,102 +279,28 @@ func (e *Engine) handleMigrate(sn *segNode, m *wire.Msg) {
 		return
 	}
 	sn.migIn = nil
-	e.installMigratedRecord(sn, from, m.SegEpoch, in.data)
-}
-
-// installMigratedRecord makes this site the segment's library under
-// epoch offerEpoch+1 with the transferred record, then confirms to the
-// old library. The epoch is created here, not at the offer: no site can
-// address this site as the E+1 library before the record exists.
-func (e *Engine) installMigratedRecord(sn *segNode, from int, offerEpoch uint32, data []byte) {
-	seg := int32(sn.meta.ID)
-	now := e.env.Now()
-	lib := newLibSeg(sn.meta)
-	for len(data) >= migRecordHeader {
-		page := int32(binary.BigEndian.Uint32(data[0:]))
-		writer := int(int32(binary.BigEndian.Uint32(data[4:])))
-		clock := int(int32(binary.BigEndian.Uint32(data[8:])))
-		delta := time.Duration(binary.BigEndian.Uint64(data[12:]))
-		gap := time.Duration(binary.BigEndian.Uint64(data[20:]))
-		age := time.Duration(binary.BigEndian.Uint64(data[28:]))
-		requests := int(int32(binary.BigEndian.Uint32(data[36:])))
-		denied := int(int32(binary.BigEndian.Uint32(data[40:])))
-		denRem := time.Duration(binary.BigEndian.Uint64(data[44:]))
-		flip := int(binary.BigEndian.Uint16(data[52:]))
-		lastWriter := int(int32(binary.BigEndian.Uint32(data[54:])))
-		cs := int(binary.BigEndian.Uint16(data[58:]))
-		data = data[migRecordHeader:]
-		if cs > len(data) {
-			break
-		}
-		var readers mmu.Copyset
-		if cs > 0 {
-			var err error
-			readers, err = mmu.DecodeCopysetWire(data[:cs])
-			if err != nil {
-				data = data[cs:]
-				continue
-			}
-		}
-		data = data[cs:]
-		if page < 0 || int(page) >= len(lib.pages) || delta < 0 ||
-			gap < 0 || age < 0 || denRem < 0 || requests < 0 || denied < 0 {
-			continue
-		}
-		p := &lib.pages[page]
-		p.writer, p.clock, p.delta, p.readers = writer, clock, delta, readers
-		// Carry the demand window and denial signals so the rehomed
-		// library stays warm. lastReq is re-based from the shipped age
-		// into this site's clock domain; the controller's rate-limit
-		// state is deliberately left fresh (tuned=false restarts the
-		// cooldown at the first local grant without touching Δ).
-		p.gapEWMA, p.requests = gap, requests
-		if requests > 0 {
-			p.lastReq = now - age
-			if p.lastReq < 0 {
-				p.lastReq = 0
-			}
-		}
-		p.denied, p.denRemEWMA = denied, denRem
-		p.tuneDenied = denied
-		if flip > flipScale {
-			flip = flipScale
-		}
-		p.flipEWMA, p.lastWriter = flip, lastWriter
+	recs, err := decodeLogHead(in.data, sn.meta.Pages)
+	if err != nil {
+		// A record that does not decode whole is not installed in part:
+		// refuse, and the old library resumes granting.
+		e.markStale()
+		e.send(from, &wire.Msg{Kind: wire.KMigrateAck, Seg: m.Seg, Page: -1})
+		return
 	}
-	sn.segEpoch = offerEpoch + 1
-	sn.curLib = e.site
-	sn.lib = lib
-	// The old epoch's transient state is dead with it (mirrors
-	// adoptEpoch; quiescence means there should be none, but a raced
-	// abort can leave leftovers).
-	e.rollbackSegPend(sn, seg)
-	for k := range e.relay {
-		if k.seg == seg {
-			delete(e.relay, k)
-		}
-	}
-	for k := range e.stash {
-		if k.seg == seg {
-			delete(e.stash, k)
-		}
-	}
+	// The epoch is created here, not at the offer: no site can address
+	// this site as the E+1 library before the record exists. Requests
+	// this site had queued at the old library die in its frozen queue;
+	// the install wakes their faults to re-issue here.
+	e.forgetRequests(sn)
+	e.installLibrary(sn, m.SegEpoch+1, recs)
 	// Seed the policy's hysteresis: accepting the role starts a fresh
 	// window and a cooldown, so the segment cannot bounce straight back.
+	now := e.env.Now()
 	sn.place = &placeTrack{demand: make(map[int]int), windowStart: now, lastMove: now}
-	if e.replicationEnabled() {
-		// The migrated record IS the log head: re-seed the epoch's log
-		// from it and base this leader's follower group eagerly — the
-		// offer shipped a reconstruction-free snapshot, and the group
-		// changes with the leader.
-		e.replSeedLeader(sn)
-		e.replBaseFollowers(sn)
-	}
 	e.stats.Migrations++
 	e.obs.Count(e.site, obs.CMigration)
-	e.emit(obs.Event{Type: obs.EvMigrate, Seg: seg, Arg: int64(from)})
-	e.send(from, &wire.Msg{Kind: wire.KMigrateAck, Seg: seg, Page: 0})
-	e.reaimRequests(sn)
+	e.emit(obs.Event{Type: obs.EvMigrate, Seg: m.Seg, Arg: int64(from)})
+	e.send(from, &wire.Msg{Kind: wire.KMigrateAck, Seg: m.Seg, Page: 0})
 }
 
 // handleMigrateAck runs at the old library: a refusal resumes granting

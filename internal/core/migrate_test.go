@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"mirage/internal/obs"
+	"mirage/internal/wire"
 )
 
 // migOptions enables the full voluntary-migration stack with an
@@ -160,4 +161,45 @@ func TestMigrationDisabledWithoutPlacement(t *testing.T) {
 	if sn := n.engines[0].segs[1]; sn.place != nil || sn.curLib != 0 {
 		t.Errorf("placement state tracked while disabled: place=%v curLib=%d", sn.place, sn.curLib)
 	}
+}
+
+// TestMigrationRefusesMalformedOffer: an offer whose record payload
+// fails to decode must be refused whole. Installing the pages that did
+// decode and defaulting the rest would leave a page the record says
+// nobody writes while a site still holds its writable copy, and the
+// next grant would mint a second writer.
+func TestMigrationRefusesMalformedOffer(t *testing.T) {
+	n := newTestNet(t, 3, migOptions(nil, 3))
+	n.newSeg(4, 0)
+	n.acquire(2, 1, 3, true) // site 2 writes page 3, the offer's last record
+	n.settle()
+
+	cut := false
+	n.mangle = func(from, to int, m *wire.Msg) {
+		if m.Kind == wire.KMigrate && !cut {
+			cut = true
+			m.Data = m.Data[:len(m.Data)-10]
+		}
+	}
+	driveSkew(n, 1, 40)
+	n.settle()
+	if !cut {
+		t.Fatal("no migration offer was made; scenario not reached")
+	}
+
+	if got := n.engines[1].Stats().Migrations; got != 0 {
+		t.Errorf("successor installed %d truncated offers, want 0", got)
+	}
+	if got := n.engines[0].Stats().MigrationsRefused; got != 1 {
+		t.Errorf("MigrationsRefused = %d, want 1", got)
+	}
+	if n.engines[0].segs[1].lib == nil {
+		t.Fatal("old library stopped granting after the refusal")
+	}
+	if ls := n.engines[0].LibraryState(1, 3); ls.Writer != 2 {
+		t.Errorf("page 3 writer = %d, want 2", ls.Writer)
+	}
+	n.acquire(0, 1, 3, true)
+	n.settle()
+	n.checkSingleWriter(1, 3)
 }

@@ -606,7 +606,7 @@ func (e *Engine) libAbortCycle(sn *segNode, page int32) {
 	}
 	// The cycle's logged intent is void: log the unchanged record so an
 	// elected successor does not probe (or adopt) a grant that died here.
-	e.replAppendSet(sn, page, replRecOf(p))
+	e.replAppendSet(sn, page)
 	e.libProcess(sn, page)
 }
 

@@ -106,7 +106,7 @@ func (e *Engine) libProcessRelease(sn *segNode, page int32, r libReq) {
 		// KReleaseDone, so the confirmation waits for the record change
 		// to be quorum-durable — otherwise an elected successor could
 		// grant from a record still naming the departed holder.
-		e.replAppend(sn, &replEntry{page: page, post: replRecOf(p)}, func() {
+		e.replAppend(sn, &replEntry{page: page, post: recordOf(p, e.env.Now())}, func() {
 			if cur, ok := e.segs[seg]; !ok || cur != sn || sn.lib == nil {
 				return
 			}
@@ -144,7 +144,7 @@ func (e *Engine) libReclaim(sn *segNode, page int32, data []byte) {
 	p.readers = mmu.Copyset{}
 	p.clock = e.site
 	e.emit(obs.Event{Type: obs.EvPageState, Seg: int32(sn.meta.ID), Page: page, Arg: 2})
-	e.replAppendSet(sn, page, replRecOf(p))
+	e.replAppendSet(sn, page)
 }
 
 // handleReleaseDone finalizes one page release at the departing site.

@@ -109,28 +109,14 @@ func (e *Engine) replVoteQuorum() int {
 	return e.opt.Replication.Replicas + 2 - e.replQuorum()
 }
 
-// replRec is one page record as carried in a log entry — the same
-// fields migration ships (a KMigrate chunk is exactly a compacted log
-// head; see docs/REPLICATION.md).
-type replRec struct {
-	writer  int
-	clock   int
-	delta   time.Duration
-	readers mmu.Copyset
-}
-
-func replRecOf(p *libPage) replRec {
-	return replRec{writer: p.writer, clock: p.clock, delta: p.delta, readers: p.readers}
-}
-
 // replEntry is one log entry: a full page-record snapshot, so per-page
 // latest-entry compaction loses nothing.
 type replEntry struct {
 	intent bool   // write-ahead intent (prior valid) vs committed set
 	index  uint32 // position in the leader's log for this epoch
 	page   int32
-	post   replRec // the record the mutation commits
-	prior  replRec // the record before the cycle (intents only)
+	post   libRecord // the record the mutation commits
+	prior  libRecord // the record before the cycle (intents only)
 }
 
 // replSeg is a site's replication state for one segment: the compacted
@@ -202,14 +188,13 @@ func (e *Engine) replActive(sn *segNode) bool {
 }
 
 // replSeedLeader makes this site the segment's log leader for the
-// current epoch: one set entry per page (indexes 1..P) snapshotting
-// the just-installed record, so the epoch's log is complete from entry
-// one and followers re-base from it.
+// current epoch: the log head of the just-installed record (indexes
+// 1..P), so the epoch's log is complete from entry one and followers
+// re-base from it.
 func (e *Engine) replSeedLeader(sn *segNode) {
 	rl := &replSeg{epoch: sn.segEpoch, pages: make(map[int32]*replEntry, len(sn.lib.pages))}
-	for pg := range sn.lib.pages {
-		idx := uint32(pg + 1)
-		rl.pages[int32(pg)] = &replEntry{index: idx, page: int32(pg), post: replRecOf(&sn.lib.pages[pg])}
+	for _, ent := range logHead(sn.lib, e.env.Now()) {
+		rl.pages[ent.page] = ent
 	}
 	rl.lastIndex = uint32(len(sn.lib.pages))
 	rl.lead = e.newReplLead()
@@ -223,57 +208,18 @@ func (e *Engine) replSeedLeader(sn *segNode) {
 //
 //	kind u8 (1 intent, 2 set) | index u32 | page i32 | post record | [prior record]
 //
-// record = writer i32 | clock i32 | delta i64 | cs-len u16 | copyset wire
-//
-// The copyset reuses the dual inline/bitmap wire form of
-// mmu.AppendWire. The 32-bit FNV-1a digest of an entry's encoded bytes
+// where a record is the libRecord wire form (record.go). A KMigrate
+// payload is the same stream: the log head, one set entry per page.
+// The 32-bit FNV-1a digest of an entry's encoded bytes
 // is its identity in EvReplicate events; leader and follower compute
 // it over the identical bytes, so the checker can pin log-prefix
 // agreement without shipping the entries in the trace.
 const (
 	replKindIntent = 1
 	replKindSet    = 2
-	replRecHeader  = 4 + 4 + 8 + 2
 	replEntryHdr   = 1 + 4 + 4
 	replChunkBytes = 60000
 )
-
-func appendReplRec(buf []byte, r *replRec) []byte {
-	var h [replRecHeader]byte
-	binary.BigEndian.PutUint32(h[0:], uint32(int32(r.writer)))
-	binary.BigEndian.PutUint32(h[4:], uint32(int32(r.clock)))
-	binary.BigEndian.PutUint64(h[8:], uint64(r.delta))
-	binary.BigEndian.PutUint16(h[16:], uint16(r.readers.WireLen()))
-	buf = append(buf, h[:]...)
-	return r.readers.AppendWire(buf)
-}
-
-func decodeReplRec(data []byte) (replRec, int, error) {
-	if len(data) < replRecHeader {
-		return replRec{}, 0, fmt.Errorf("repl: record truncated at %d bytes", len(data))
-	}
-	r := replRec{
-		writer: int(int32(binary.BigEndian.Uint32(data[0:]))),
-		clock:  int(int32(binary.BigEndian.Uint32(data[4:]))),
-		delta:  time.Duration(binary.BigEndian.Uint64(data[8:])),
-	}
-	cs := int(binary.BigEndian.Uint16(data[16:]))
-	if r.delta < 0 {
-		return replRec{}, 0, fmt.Errorf("repl: negative Δ %v", r.delta)
-	}
-	n := replRecHeader + cs
-	if cs > len(data)-replRecHeader {
-		return replRec{}, 0, fmt.Errorf("repl: copyset truncated: %d of %d bytes", len(data)-replRecHeader, cs)
-	}
-	if cs > 0 {
-		var err error
-		r.readers, err = mmu.DecodeCopysetWire(data[replRecHeader:n])
-		if err != nil {
-			return replRec{}, 0, err
-		}
-	}
-	return r, n, nil
-}
 
 func encodeReplEntry(buf []byte, ent *replEntry) []byte {
 	kind := byte(replKindSet)
@@ -285,9 +231,9 @@ func encodeReplEntry(buf []byte, ent *replEntry) []byte {
 	binary.BigEndian.PutUint32(h[1:], ent.index)
 	binary.BigEndian.PutUint32(h[5:], uint32(ent.page))
 	buf = append(buf, h[:]...)
-	buf = appendReplRec(buf, &ent.post)
+	buf = appendLibRecord(buf, &ent.post)
 	if ent.intent {
-		buf = appendReplRec(buf, &ent.prior)
+		buf = appendLibRecord(buf, &ent.prior)
 	}
 	return buf
 }
@@ -308,28 +254,38 @@ func decodeReplEntry(data []byte) (replEntry, int, error) {
 	}
 	ent.index = binary.BigEndian.Uint32(data[1:])
 	ent.page = int32(binary.BigEndian.Uint32(data[5:]))
-	n := replEntryHdr
-	var err error
-	ent.post, err = decodeRecAt(data, &n)
+	post, n, err := decodeLibRecord(data[replEntryHdr:])
 	if err != nil {
 		return replEntry{}, 0, err
 	}
+	ent.post, n = post, replEntryHdr+n
 	if ent.intent {
-		ent.prior, err = decodeRecAt(data, &n)
+		prior, c, err := decodeLibRecord(data[n:])
 		if err != nil {
 			return replEntry{}, 0, err
 		}
+		ent.prior, n = prior, n+c
 	}
 	return ent, n, nil
 }
 
-func decodeRecAt(data []byte, n *int) (replRec, error) {
-	r, c, err := decodeReplRec(data[*n:])
-	if err != nil {
-		return replRec{}, err
+// sendEntries ships log entries in index order, chunked under the wire
+// payload bound. Each chunk opens with hdr and goes out through send,
+// which learns the index of the chunk's last entry and whether the
+// chunk is the final one. At least one chunk is always sent.
+func sendEntries(hdr []byte, ents []*replEntry, send func(data []byte, last uint32, final bool)) {
+	sort.Slice(ents, func(i, j int) bool { return ents[i].index < ents[j].index })
+	data := append([]byte(nil), hdr...)
+	var last uint32
+	for _, ent := range ents {
+		if len(data) >= replChunkBytes {
+			send(data, last, false)
+			data = append([]byte(nil), hdr...)
+		}
+		data = encodeReplEntry(data, ent)
+		last = ent.index
 	}
-	*n += c
-	return r, nil
+	send(data, last, true)
 }
 
 // replDigest is the 32-bit FNV-1a digest of an entry's encoded bytes.
@@ -398,24 +354,10 @@ func (e *Engine) replSendLog(sn *segNode, f int) {
 	for _, ent := range rl.pages {
 		ents = append(ents, ent)
 	}
-	sort.Slice(ents, func(i, j int) bool { return ents[i].index < ents[j].index })
 	seg := int32(sn.meta.ID)
-	var data []byte
-	var last uint32
-	flush := func() {
+	sendEntries(nil, ents, func(data []byte, last uint32, _ bool) {
 		e.send(f, &wire.Msg{Kind: wire.KAppend, Seg: seg, Page: -1, Cycle: last, Data: data})
-		data = nil
-	}
-	for _, ent := range ents {
-		if len(data) >= replChunkBytes {
-			flush()
-		}
-		data = encodeReplEntry(data, ent)
-		last = ent.index
-	}
-	if len(data) > 0 || len(ents) == 0 {
-		flush()
-	}
+	})
 }
 
 // replRecomputeGates re-evaluates every pending gate against the
@@ -465,17 +407,23 @@ func (e *Engine) replRecomputeGates(sn *segNode) {
 	ld.gates = keep
 }
 
-// replGateCycleOpen logs a grant cycle's write-ahead intent and defers
-// the cycle's opening send to the quorum commit. The continuation
+// replGateCycleOpen logs a grant cycle's write-ahead intent — the
+// record before the page's open cycle and the one it commits — and
+// defers the cycle's opening send to the quorum commit. Without an
+// active group it sends at once and builds no record. The continuation
 // re-checks the cycle (by number) before sending: an epoch change or
 // abort in the gap must not fire a dead cycle's invalidation.
-func (e *Engine) replGateCycleOpen(sn *segNode, page int32, prior, post replRec, to int, open *wire.Msg) {
+func (e *Engine) replGateCycleOpen(sn *segNode, page int32, to int, open *wire.Msg) {
 	if !e.replActive(sn) {
 		e.send(to, open)
 		return
 	}
 	seg := int32(sn.meta.ID)
-	cyc := sn.lib.pages[page].cycle
+	p := &sn.lib.pages[page]
+	cyc := p.cycle
+	prior := recordOf(p, e.env.Now())
+	post := prior
+	post.writer, post.clock, post.readers = p.grant.outcome(p)
 	e.replAppend(sn, &replEntry{intent: true, page: page, post: post, prior: prior}, func() {
 		cur, ok := e.segs[seg]
 		if !ok || cur != sn || sn.lib == nil {
@@ -489,12 +437,12 @@ func (e *Engine) replGateCycleOpen(sn *segNode, page int32, prior, post replRec,
 	})
 }
 
-// replAppendSet logs a committed record mutation fire-and-forget.
-func (e *Engine) replAppendSet(sn *segNode, page int32, rec replRec) {
+// replAppendSet logs a page's committed record fire-and-forget.
+func (e *Engine) replAppendSet(sn *segNode, page int32) {
 	if !e.replActive(sn) {
 		return
 	}
-	e.replAppend(sn, &replEntry{page: page, post: rec}, nil)
+	e.replAppend(sn, &replEntry{page: page, post: recordOf(&sn.lib.pages[page], e.env.Now())}, nil)
 }
 
 // ---- Follower: applying the stream ----
@@ -777,23 +725,13 @@ func (e *Engine) sendVoteReply(sn *segNode, to int, ballot []byte) {
 				}
 				ents = append(ents, ent)
 			}
-			sort.Slice(ents, func(i, j int) bool { return ents[i].index < ents[j].index })
 		}
 	}
 	seg := int32(sn.meta.ID)
-	send := func(data []byte, last bool) {
+	sendEntries(hdr[:], ents, func(data []byte, _ uint32, final bool) {
 		e.send(to, &wire.Msg{Kind: wire.KVote, Seg: seg, Page: -1,
-			Req: int32(to), Upgrade: last, Data: data})
-	}
-	data := append([]byte(nil), hdr[:]...)
-	for _, ent := range ents {
-		if len(data) >= replChunkBytes {
-			send(data, false)
-			data = append([]byte(nil), hdr[:]...)
-		}
-		data = encodeReplEntry(data, ent)
-	}
-	send(data, true)
+			Req: int32(to), Upgrade: final, Data: data})
+	})
 }
 
 // voteSolicitFailed reacts to an undeliverable solicitation: the voter
@@ -871,7 +809,7 @@ func (e *Engine) settleElection(sn *segNode) {
 		}
 	}
 	if len(targets) == 0 {
-		e.installElectedLib(sn)
+		e.finishRecovery(sn)
 		return
 	}
 	seg := int32(sn.meta.ID)
@@ -888,7 +826,7 @@ func (e *Engine) settleElection(sn *segNode) {
 		if cur, ok := e.segs[seg]; !ok || cur != sn || sn.recov != rc {
 			return
 		}
-		e.installElectedLib(sn)
+		e.finishRecovery(sn)
 	})
 }
 
@@ -898,7 +836,7 @@ func (e *Engine) settleElection(sn *segNode) {
 // holds the writable copy; a downgrade failed only if the old writer
 // still holds it; a pure reader extension is always safe to adopt —
 // a listed reader without a copy just acks its invalidations vacuously.
-func resolveIntent(rc *recovery, ent *replEntry) replRec {
+func resolveIntent(rc *recovery, ent *replEntry) libRecord {
 	rp := rc.got[ent.page]
 	switch {
 	case ent.post.writer != mmu.NoWriter:
@@ -916,97 +854,11 @@ func resolveIntent(rc *recovery, ent *replEntry) replRec {
 	}
 }
 
-// installElectedLib installs the merged log as the library record and
-// resumes granting: the replicated takeover's counterpart of
-// finishRecovery. The dead leader is scrubbed from the record; pages
-// it alone held stay attributed to it (the orphan fail-fast rule —
-// zero-filling would discard the only good copy, exactly as in the
-// legacy rebuild).
-func (e *Engine) installElectedLib(sn *segNode) {
-	rc := sn.recov
-	if rc == nil || rc.elect == nil {
-		return
-	}
-	if rc.cancel != nil {
-		rc.cancel()
-	}
-	sn.recov = nil
-	el := rc.elect
-	seg := int32(sn.meta.ID)
-	dead := rc.from
-	lib := newLibSeg(sn.meta)
-	for pg := range lib.pages {
-		p := &lib.pages[pg]
-		ent := el.pages[int32(pg)]
-		if ent == nil {
-			// Never logged: the page never left its creator — the dead
-			// leader. Orphan it like the legacy no-surviving-copy rule.
-			p.writer, p.clock = dead, dead
-			continue
-		}
-		rec := ent.post
-		if ent.intent {
-			rec = resolveIntent(rc, ent)
-		}
-		p.writer = rec.writer
-		p.delta = rec.delta
-		p.readers = rec.readers.Remove(dead)
-		switch {
-		case p.writer == dead:
-			// The writable copy died with the leader: orphan fail-fast.
-			p.readers = mmu.Copyset{}
-			p.clock = dead
-		case p.writer != mmu.NoWriter:
-			p.clock = p.writer
-			// Restore writer exclusivity: reader entries alongside a
-			// writer are leftovers of an interrupted cycle.
-			p.readers.Remove(p.writer).ForEach(func(s int) {
-				e.send(s, &wire.Msg{Kind: wire.KInvalOrder, Seg: seg, Page: int32(pg)})
-			})
-			p.readers = mmu.Copyset{}
-		case p.readers.Empty():
-			// Reader-mode with every copy at the dead leader: orphaned.
-			p.writer, p.clock = dead, dead
-		default:
-			clock := rec.clock
-			if clock == dead || !p.readers.Has(clock) {
-				if p.readers.Has(e.site) {
-					clock = e.site
-				} else {
-					clock = p.readers.Sites()[0]
-				}
-			}
-			p.clock = clock
-			e.send(clock, &wire.Msg{
-				Kind: wire.KClockHandoff, Seg: seg, Page: int32(pg), Readers: p.readers,
-			})
-		}
-	}
-	sn.lib = lib
-	e.replSeedLeader(sn)
-	e.replBaseFollowers(sn)
-	e.stats.Recoveries++
-	e.stats.Elections++
-	e.obs.Count(e.site, obs.CRecovery)
-	e.obs.Count(e.site, obs.CElect)
-	e.obs.Observe(obs.HRecoverLatency, int64(e.env.Now()-rc.started))
-	e.emit(obs.Event{Type: obs.EvElect, Seg: seg, From: int32(dead),
-		Cycle: el.bestEpoch, Arg: int64(el.bestIndex)})
-	e.emit(obs.Event{Type: obs.EvRecover, Seg: seg, Arg: int64(dead)})
-	for _, m := range rc.buffered {
-		e.handleLibrary(sn, m)
-	}
-	rc.buffered = nil
-	for p := int32(0); p < int32(sn.m.Pages()); p++ {
-		e.wakeWaiters(sn, p)
-	}
-}
-
 // replBaseFollowers eagerly re-bases the new leader's follower group
-// with the epoch's seed log. Used after elections and migrations,
-// where the group members are known-attached; initial segment creation
-// bases lazily on first append instead, so a follower that has not
-// attached yet is not benched before it ever joined.
+// with the epoch's seed log. installLibrary uses it: an existing
+// segment's group members have had the chance to attach. Initial
+// segment creation bases lazily on first append instead, so a follower
+// that has not attached yet is not benched before it ever joined.
 func (e *Engine) replBaseFollowers(sn *segNode) {
 	if !e.replActive(sn) {
 		return
