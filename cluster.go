@@ -8,6 +8,7 @@ import (
 	"mirage/internal/chaos"
 	"mirage/internal/core"
 	"mirage/internal/mem"
+	"mirage/internal/mmu"
 	"mirage/internal/transport"
 	"mirage/internal/wire"
 )
@@ -319,8 +320,12 @@ func (s *Site) AttachAs(id SegID, readonly bool, uid int) (*Segment, error) {
 	s.c.mu.Unlock()
 
 	nd := s.node
-	nd.call(func() { nd.eng.AttachSegment(seg) })
-	return &Segment{site: s, seg: seg, readonly: readonly, pid: s.c.pid()}, nil
+	var m *mmu.Seg
+	nd.call(func() {
+		nd.eng.AttachSegment(seg)
+		m = nd.eng.Seg(int32(seg.ID))
+	})
+	return &Segment{site: s, seg: seg, m: m, readonly: readonly, pid: s.c.pid()}, nil
 }
 
 // Remove marks the segment for destruction (shmctl IPC_RMID): hidden

@@ -97,9 +97,13 @@ type replCheck struct {
 }
 
 // Checker is the streaming history checker. Feed it a schema-v1 trace
-// in emission order; that order is sound for live traces too, because
-// same-site events are emitted by one goroutine and cross-site events
-// are separated by the message exchange that caused them.
+// in emission order; that order is sound for live traces too. A site's
+// protocol events come from its actor goroutine. Its op events come
+// from accessor goroutines, but each is emitted under the page's frame
+// lock, and the engine emits a grant before publishing it and revokes
+// before emitting the revocation, so each page's events are in causal
+// order. Cross-site events are separated by the message exchange that
+// caused them.
 type Checker struct {
 	cfg   Config
 	idx   int

@@ -17,7 +17,8 @@
 //
 // Engines are not safe for concurrent use; each driver serializes
 // calls (the simulator by construction, live nodes with an actor
-// loop).
+// loop). RecordOp is the one exception: live accessors call it from
+// their own goroutines while they hold a page's frame lock.
 package core
 
 import (
@@ -274,7 +275,7 @@ type segNode struct {
 
 	// releasing is set between the last local detach and the library's
 	// confirmation of every page release; local accesses fault
-	// meanwhile.
+	// meanwhile. Change it only through setReleasing.
 	releasing       bool
 	releasesPending int
 
@@ -293,7 +294,7 @@ type segNode struct {
 	repl *replSeg
 
 	// Degraded-grant state (reliability layer only).
-	pageErr  map[int32]error  // page -> pending error for the accessor
+	pageErr  map[int32]error  // page -> pending error for the accessor; see setPageErr
 	reqTimer map[int32]func() // page -> end-to-end request deadline cancel
 }
 
@@ -379,7 +380,13 @@ const (
 // history checker: an EvRead/EvWrite trace event carrying the page
 // range (From: offset, To: length) and an FNV-1a digest of the bytes as
 // read or written. Access layers call it after the data moved, while
-// still serialized with the engine. With tracing off it is a pointer
+// the page can still not change: the simulator on the engine's own
+// goroutine, live accessors under the page's frame lock. The engine
+// publishes a page-state event before the protection it grants and
+// revokes a protection before the event saying so, so each page's op
+// records stay in causal order with its protocol events. RecordOp is
+// safe for concurrent use: it reads no engine state that changes, so
+// op records carry no library epoch. With tracing off it is a pointer
 // test and a return — zero allocations, like every other obs hook.
 func (e *Engine) RecordOp(seg, page int32, off int, write bool, b []byte) {
 	if !e.obs.Tracing() {
@@ -393,7 +400,7 @@ func (e *Engine) RecordOp(seg, page int32, off int, write bool, b []byte) {
 	if write {
 		typ = obs.EvWrite
 	}
-	e.emit(obs.Event{Type: typ, Seg: seg, Page: page,
+	e.obs.Emit(obs.Event{Type: typ, T: e.env.Now(), Site: int32(e.site), Seg: seg, Page: page,
 		From: int32(off), To: int32(len(b)), Arg: int64(h)})
 }
 
@@ -415,6 +422,9 @@ func (e *Engine) CreateSegment(meta *mem.Segment) {
 	lib := &libSeg{meta: meta, pages: make([]libPage, meta.Pages)}
 	sn.lib = lib
 	for p := 0; p < meta.Pages; p++ {
+		// Seed the trace with the initial placement so a checker reading
+		// it cold knows who holds what (Cycle 0 marks it ungranted).
+		e.emit(obs.Event{Type: obs.EvPageState, Seg: int32(meta.ID), Page: int32(p), Arg: 2})
 		sn.m.Install(p, nil, mmu.ReadWrite, now)
 		a := sn.m.Aux(p)
 		a.Writer = e.site
@@ -422,9 +432,6 @@ func (e *Engine) CreateSegment(meta *mem.Segment) {
 		// meta.Delta is the segment default: it seeds pages whose tuned
 		// value is unknown (blankRecord does the same for a takeover).
 		lib.pages[p] = libPage{writer: e.site, clock: e.site, delta: meta.Delta, lastWriter: mmu.NoWriter}
-		// Seed the trace with the initial placement so a checker reading
-		// it cold knows who holds what (Cycle 0 marks it ungranted).
-		e.emit(obs.Event{Type: obs.EvPageState, Seg: int32(meta.ID), Page: int32(p), Arg: 2})
 	}
 	if e.replicationEnabled() {
 		e.replSeedLeader(sn)
@@ -464,6 +471,7 @@ func (e *Engine) DestroySegment(id int32) {
 		return
 	}
 	delete(e.segs, id)
+	sn.m.SetFenced(true)
 	for p := int32(0); p < int32(sn.m.Pages()); p++ {
 		e.wakeWaiters(sn, p)
 	}
@@ -489,8 +497,8 @@ func (e *Engine) DestroySegment(id int32) {
 }
 
 // Seg returns the site's MMU state for a segment (nil if not attached
-// here). The ipc access layer uses it for protection checks and the
-// data path.
+// here). Live accessors pin its frames for hits; it stays valid, and
+// fenced, after DestroySegment.
 func (e *Engine) Seg(id int32) *mmu.Seg {
 	sn, ok := e.segs[id]
 	if !ok {

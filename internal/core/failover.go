@@ -446,11 +446,11 @@ func (e *Engine) adoptEpoch(sn *segNode, epoch uint32, newLib int) {
 			}
 			e.send(sn.curLib, &wire.Msg{
 				Kind: kind, Seg: seg, Page: int32(p),
-				Data: append([]byte(nil), sn.m.Frame(p)...),
+				Data: sn.m.Snapshot(p),
 			})
 		}
 		if sn.releasesPending == 0 {
-			sn.releasing = false
+			sn.setReleasing(false)
 		}
 	}
 	e.reaimRequests(sn)
@@ -511,7 +511,9 @@ func (e *Engine) forgetRequests(sn *segNode) {
 		cancel()
 		delete(sn.reqTimer, page)
 	}
-	sn.pageErr = nil
+	for page := range sn.pageErr {
+		sn.clearPageErr(page)
+	}
 }
 
 // rollbackPend reinstates the copy a clock site invalidated for a write
@@ -522,8 +524,8 @@ func (e *Engine) rollbackPend(sn *segNode, page int32, pi *pendingInval) {
 	if sn.m.Present(p) || pi.data == nil {
 		return
 	}
-	sn.m.Install(p, pi.data, mmu.ReadOnly, e.env.Now())
 	e.emit(obs.Event{Type: obs.EvPageState, Seg: int32(sn.meta.ID), Page: page, Arg: 1})
+	sn.m.Install(p, pi.data, mmu.ReadOnly, e.env.Now())
 	a := sn.m.Aux(p)
 	a.Writer = mmu.NoWriter
 	a.Window = 0

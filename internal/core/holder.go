@@ -120,7 +120,6 @@ func (e *Engine) handleAddReader(sn *segNode, m *wire.Msg) {
 	}
 	a := sn.m.Aux(p)
 	a.ReaderMask = a.ReaderMask.Union(m.Readers)
-	data := sn.m.Frame(p)
 	m.Readers.ForEach(func(s int) {
 		e.stats.PagesSent++
 		e.send(s, &wire.Msg{
@@ -130,7 +129,7 @@ func (e *Engine) handleAddReader(sn *segNode, m *wire.Msg) {
 			Page:  m.Page,
 			Delta: m.Delta,
 			Cycle: m.Cycle,
-			Data:  append([]byte(nil), data...),
+			Data:  sn.m.Snapshot(p),
 		})
 	})
 }
@@ -232,7 +231,6 @@ func (e *Engine) acceptInval(sn *segNode, m *wire.Msg) {
 		a.Writer = mmu.NoWriter
 		a.Window = m.Delta
 		a.ReaderMask = mmu.CopysetOf(e.site).Union(m.Readers)
-		data := sn.m.Frame(p)
 		m.Readers.ForEach(func(s int) {
 			e.stats.PagesSent++
 			e.send(s, &wire.Msg{
@@ -242,7 +240,7 @@ func (e *Engine) acceptInval(sn *segNode, m *wire.Msg) {
 				Page:  m.Page,
 				Delta: m.Delta,
 				Cycle: m.Cycle,
-				Data:  append([]byte(nil), data...),
+				Data:  sn.m.Snapshot(p),
 			})
 		})
 		return
@@ -336,20 +334,19 @@ func (e *Engine) finishWriteGrant(sn *segNode, m *wire.Msg, data []byte) {
 		if req == e.site {
 			// Clock site upgrading itself: flip the protection in place
 			// and notify the library directly.
-			now := e.env.Now()
-			sn.m.Upgrade(int(m.Page), now)
+			e.emit(obs.Event{Type: obs.EvUpgrade, Seg: m.Seg, Page: m.Page, Cycle: m.Cycle})
+			e.emit(obs.Event{Type: obs.EvPageState, Seg: m.Seg, Page: m.Page, Arg: 2})
+			sn.m.Upgrade(int(m.Page), e.env.Now())
 			a := sn.m.Aux(int(m.Page))
 			a.Writer = e.site
 			a.Window = m.Delta
 			e.stats.Upgrades++
 			e.obs.Count(e.site, obs.CUpgrade)
-			e.emit(obs.Event{Type: obs.EvUpgrade, Seg: m.Seg, Page: m.Page, Cycle: m.Cycle})
-			e.emit(obs.Event{Type: obs.EvPageState, Seg: m.Seg, Page: m.Page, Arg: 2})
 			e.send(sn.curLib, &wire.Msg{
 				Kind: wire.KInstalled, Mode: wire.Write, Seg: m.Seg, Page: m.Page,
 				Cycle: m.Cycle,
 			})
-			delete(sn.pageErr, m.Page) // in-place grant supersedes old verdicts
+			sn.clearPageErr(m.Page) // in-place grant supersedes old verdicts
 			e.wakeWaiters(sn, m.Page)
 			sn.outW[m.Page] = false
 			sn.outR[m.Page] = false
@@ -590,7 +587,7 @@ func (e *Engine) handlePageSend(sn *segNode, m *wire.Msg) {
 	// A fresh copy supersedes any degraded-grant verdict still cached
 	// for the page: without this, an access after the peer heals would
 	// fail with the stale error instead of using the installed copy.
-	delete(sn.pageErr, m.Page)
+	sn.clearPageErr(m.Page)
 	e.reqProgress(sn, m.Page)
 	e.wakeWaiters(sn, m.Page)
 }
@@ -623,22 +620,21 @@ func (e *Engine) handleUpgradeGrant(sn *segNode, m *wire.Msg) {
 		})
 		return
 	}
-	now := e.env.Now()
-	sn.m.Upgrade(p, now)
+	e.emit(obs.Event{Type: obs.EvUpgrade, Seg: m.Seg, Page: m.Page, Cycle: m.Cycle})
+	e.emit(obs.Event{Type: obs.EvPageState, Seg: m.Seg, Page: m.Page, Arg: 2})
+	sn.m.Upgrade(p, e.env.Now())
 	a := sn.m.Aux(p)
 	a.Writer = e.site
 	a.Window = m.Delta
 	a.ReaderMask = mmu.Copyset{}
 	e.stats.Upgrades++
 	e.obs.Count(e.site, obs.CUpgrade)
-	e.emit(obs.Event{Type: obs.EvUpgrade, Seg: m.Seg, Page: m.Page, Cycle: m.Cycle})
-	e.emit(obs.Event{Type: obs.EvPageState, Seg: m.Seg, Page: m.Page, Arg: 2})
 	e.send(sn.curLib, &wire.Msg{
 		Kind: wire.KInstalled, Mode: wire.Write, Seg: m.Seg, Page: m.Page, Cycle: m.Cycle,
 	})
 	sn.outW[m.Page] = false
 	sn.outR[m.Page] = false
-	delete(sn.pageErr, m.Page) // the upgraded copy supersedes old verdicts
+	sn.clearPageErr(m.Page) // the upgraded copy supersedes old verdicts
 	e.reqProgress(sn, m.Page)
 	e.wakeWaiters(sn, m.Page)
 }
@@ -656,7 +652,7 @@ func (e *Engine) handleAlready(sn *segNode, m *wire.Msg) {
 		// The record says we hold the page and we do: any cached
 		// degraded verdict is from an older failure and must not poison
 		// the access that triggered this round trip.
-		delete(sn.pageErr, m.Page)
+		sn.clearPageErr(m.Page)
 	}
 	e.reqProgress(sn, m.Page)
 	if e.rel != nil && m.Mode == wire.Read && !sn.m.Present(int(m.Page)) &&

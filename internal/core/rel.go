@@ -378,7 +378,7 @@ func (e *Engine) deliveryFailed(to int, m *wire.Msg) {
 		if sn.releasesPending > 0 {
 			sn.releasesPending--
 			if sn.releasesPending == 0 {
-				sn.releasing = false
+				sn.setReleasing(false)
 				for page := range sn.waiters {
 					e.wakeWaiters(sn, page)
 				}
@@ -443,21 +443,20 @@ func (e *Engine) invalOrderFailed(sn *segNode, m *wire.Msg, to int) {
 			})
 			return
 		}
-		sn.m.Install(p, pi.data, mmu.ReadOnly, now)
 		// No Cycle: the rolled-back copy carries no window (a.Window = 0
 		// below), and the checker keys window grants on Cycle != 0.
 		e.emit(obs.Event{Type: obs.EvPageState, Seg: m.Seg, Page: m.Page, Arg: 1})
+		sn.m.Install(p, pi.data, mmu.ReadOnly, now)
 	}
 	a := sn.m.Aux(p)
 	a.Writer = mmu.NoWriter
 	a.Window = 0
 	a.ReaderMask = pi.origMask
-	data := sn.m.Frame(p)
 	pi.acked.ForEach(func(s int) {
 		e.stats.PagesSent++
 		e.send(s, &wire.Msg{
 			Kind: wire.KPageSend, Mode: wire.Read, Seg: m.Seg, Page: m.Page,
-			Data: append([]byte(nil), data...),
+			Data: sn.m.Snapshot(p),
 		})
 	})
 	e.send(sn.curLib, &wire.Msg{
@@ -485,8 +484,7 @@ func (e *Engine) failPage(sn *segNode, seg, page int32, err error) {
 		if !a.ReaderMask.Equal(mmu.CopysetOf(e.site)) {
 			// Either we are not the clock (the clock holds a copy) or
 			// other readers exist: discarding ours cannot lose data.
-			data := append([]byte(nil), sn.m.Frame(p)...)
-			sn.m.Invalidate(p)
+			data := sn.m.Invalidate(p)
 			a.ReaderMask = mmu.Copyset{}
 			a.Writer = mmu.NoWriter
 			e.emit(obs.Event{Type: obs.EvPageState, Seg: seg, Page: page})
@@ -502,14 +500,34 @@ func (e *Engine) failPage(sn *segNode, seg, page int32, err error) {
 		}
 	}
 	if len(sn.waiters[page]) > 0 {
-		if sn.pageErr == nil {
-			sn.pageErr = make(map[int32]error)
-		}
-		sn.pageErr[page] = err
+		sn.setPageErr(page, err)
 		e.stats.Degraded++
 		e.obs.Count(e.site, obs.CDegraded)
 	}
 	e.wakeWaiters(sn, page)
+}
+
+// setPageErr holds err for the page's next accessor. The page leaves
+// the hit path until the error is taken or cleared, so a hit can
+// neither consume it nor leave it stranded behind accesses that never
+// ask the engine.
+func (sn *segNode) setPageErr(page int32, err error) {
+	if sn.pageErr == nil {
+		sn.pageErr = make(map[int32]error)
+	}
+	sn.pageErr[page] = err
+	sn.m.SetPending(int(page), true)
+}
+
+// clearPageErr drops the page's pending error, if any, and returns it.
+func (sn *segNode) clearPageErr(page int32) error {
+	err, ok := sn.pageErr[page]
+	if !ok {
+		return nil
+	}
+	delete(sn.pageErr, page)
+	sn.m.SetPending(int(page), false)
+	return err
 }
 
 // FaultError takes (returns and clears) the pending degraded-grant
@@ -517,12 +535,10 @@ func (e *Engine) failPage(sn *segNode, seg, page int32, err error) {
 // means the access should fail with the error rather than refault.
 func (e *Engine) FaultError(seg, page int32) error {
 	sn, ok := e.segs[seg]
-	if !ok || sn.pageErr == nil {
+	if !ok {
 		return nil
 	}
-	err := sn.pageErr[page]
-	delete(sn.pageErr, page)
-	return err
+	return sn.clearPageErr(page)
 }
 
 // armReqTimer starts the end-to-end request deadline for a page if not

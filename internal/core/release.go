@@ -25,7 +25,7 @@ func (e *Engine) ReleaseSegment(seg int32) {
 	if sn.curLib == e.site {
 		return
 	}
-	sn.releasing = true
+	sn.setReleasing(true)
 	for p := 0; p < sn.m.Pages(); p++ {
 		if !sn.m.Present(p) {
 			continue
@@ -39,7 +39,7 @@ func (e *Engine) ReleaseSegment(seg int32) {
 		// last holder, the library reinstalls from it.
 		e.send(sn.curLib, &wire.Msg{
 			Kind: kind, Seg: seg, Page: int32(p),
-			Data: append([]byte(nil), sn.m.Frame(p)...),
+			Data: sn.m.Snapshot(p),
 		})
 		// Trace-wise the copy is surrendered the moment it ships home:
 		// the frame stays installed only to serve grant cycles already
@@ -47,8 +47,17 @@ func (e *Engine) ReleaseSegment(seg int32) {
 		e.emit(obs.Event{Type: obs.EvPageState, Seg: seg, Page: int32(p)})
 	}
 	if sn.releasesPending == 0 {
-		sn.releasing = false
+		sn.setReleasing(false)
 	}
+}
+
+// setReleasing sets the segment's releasing flag and fences its pages
+// off the hit path (or lets them back on) to match. Fencing waits out
+// the hits in flight, so a surrender traced after it follows every op
+// the site made on its copy.
+func (sn *segNode) setReleasing(on bool) {
+	sn.releasing = on
+	sn.m.SetFenced(on)
 }
 
 // Releasing reports whether the segment is mid-release at this site.
@@ -135,6 +144,7 @@ func (e *Engine) libReclaim(sn *segNode, page int32, data []byte) {
 		e.obs.Count(e.site, obs.CLost)
 		data = make([]byte, sn.meta.PageSize)
 	}
+	e.emit(obs.Event{Type: obs.EvPageState, Seg: int32(sn.meta.ID), Page: page, Arg: 2})
 	sn.m.Install(int(page), data, mmu.ReadWrite, now)
 	a := sn.m.Aux(int(page))
 	a.Writer = e.site
@@ -143,7 +153,6 @@ func (e *Engine) libReclaim(sn *segNode, page int32, data []byte) {
 	p.writer = e.site
 	p.readers = mmu.Copyset{}
 	p.clock = e.site
-	e.emit(obs.Event{Type: obs.EvPageState, Seg: int32(sn.meta.ID), Page: page, Arg: 2})
 	e.replAppendSet(sn, page)
 }
 
@@ -170,7 +179,7 @@ func (e *Engine) handleReleaseDone(sn *segNode, m *wire.Msg) {
 	}
 	sn.releasesPending--
 	if sn.releasesPending == 0 {
-		sn.releasing = false
+		sn.setReleasing(false)
 		// A re-attach may have queued faults while releasing.
 		for page := range sn.waiters {
 			e.wakeWaiters(sn, page)

@@ -128,6 +128,9 @@ type replSeg struct {
 	lastIndex uint32 // highest index applied (cumulative-ack value)
 	pages     map[int32]*replEntry
 	lead      *replLead // non-nil while this site leads the group
+	// needBase is set at a follower that failed to decode an entry: its
+	// log has a gap, so it refuses every append but a re-base.
+	needBase bool
 }
 
 // replLead is the leader's group bookkeeping.
@@ -451,7 +454,11 @@ func (e *Engine) replAppendSet(sn *segNode, page int32) {
 // acknowledges its cumulative applied index. The generic epoch fence
 // already matched the message to this site's epoch; a stream from a
 // newer term than the local log resets it (the leader re-bases every
-// epoch with a full snapshot, so nothing carried over is needed).
+// epoch with a full snapshot, so nothing carried over is needed). An
+// entry that fails to decode leaves a gap no cumulative ack may cover:
+// the follower refuses (Page -2), so the leader benches it and later
+// re-bases it, and it refuses every append but a re-base (Page -1)
+// until then.
 func (e *Engine) handleAppend(sn *segNode, m *wire.Msg) {
 	if e.opt.Replication == nil {
 		e.stats.Dropped++
@@ -473,12 +480,23 @@ func (e *Engine) handleAppend(sn *segNode, m *wire.Msg) {
 		rl.lastIndex = 0
 		rl.pages = make(map[int32]*replEntry)
 	}
+	refuse := func() {
+		rl.needBase = true
+		e.send(int(m.From), &wire.Msg{Kind: wire.KAppendAck, Seg: m.Seg, Page: -2})
+	}
+	if m.Page == -1 {
+		rl.needBase = false
+	} else if rl.needBase {
+		refuse()
+		return
+	}
 	data := m.Data
 	for len(data) > 0 {
 		ent, n, err := decodeReplEntry(data)
 		if err != nil {
 			e.markStale()
-			break
+			refuse()
+			return
 		}
 		dig := replDigest(data[:n])
 		data = data[n:]

@@ -258,6 +258,65 @@ func TestReplQuorumGatesMutations(t *testing.T) {
 	}
 }
 
+// TestReplAppendDecodeErrorRefuses: a follower that cannot decode the
+// second entry of a multi-entry KAppend (its first re-base) must not ack
+// past the gap. It refuses, the leader benches it, and once the leader
+// re-bases it the follower's log matches the leader's again.
+func TestReplAppendDecodeErrorRefuses(t *testing.T) {
+	n := newTestNet(t, 3, replOptions(nil, 3, 2))
+	n.newSeg(4, 0)
+
+	var gap uint32
+	corrupted, rebased := false, false
+	n.mangle = func(from, to int, m *wire.Msg) {
+		switch {
+		case m.Kind == wire.KAppend && to == 1 && m.Page == -1 && !corrupted:
+			_, k, err := decodeReplEntry(m.Data)
+			if err != nil || k == len(m.Data) {
+				t.Fatalf("first re-base is not a multi-entry append (err %v)", err)
+			}
+			second, _, err := decodeReplEntry(m.Data[k:])
+			if err != nil {
+				t.Fatal(err)
+			}
+			gap = second.index
+			m.Data[k] = 0xff // an unknown entry kind
+			corrupted = true
+		case m.Kind == wire.KAppend && to == 1 && m.Page == -1:
+			rebased = true
+		case m.Kind == wire.KAppendAck && from == 1 && corrupted && !rebased &&
+			m.Page != -2 && m.Cycle >= gap:
+			t.Errorf("follower acked index %d past the undecodable entry %d", m.Cycle, gap)
+		}
+	}
+	for pg := int32(0); pg < 4; pg++ {
+		n.acquire(2, 1, pg, true)
+	}
+	n.settle()
+	if !corrupted {
+		t.Fatal("no re-base reached site 1")
+	}
+	// Past the revival timeout the next mutation re-bases the follower.
+	n.acquire(1, 1, 0, true)
+	n.settle()
+	if !rebased {
+		t.Fatal("the leader never re-based the refusing follower")
+	}
+	lead, fol := n.engines[0].segs[1].repl, n.engines[1].segs[1].repl
+	if fol.needBase {
+		t.Fatal("follower still refuses after the re-base")
+	}
+	for pg := int32(0); pg < 4; pg++ {
+		want, got := lead.pages[pg], fol.pages[pg]
+		if got == nil || got.index != want.index || !sameRecord(got.post, want.post) {
+			t.Errorf("page %d: follower entry %+v, leader %+v", pg, got, want)
+		}
+	}
+	if acked := lead.lead.acked[1]; acked != lead.lastIndex {
+		t.Errorf("follower acked %d, leader log ends at %d", acked, lead.lastIndex)
+	}
+}
+
 // TestReplElectionInstallsFromLog: after the leader crashes, the
 // nominated follower installs the record from its replicated log (an
 // election, not a holder rebuild) and the record survives exactly.

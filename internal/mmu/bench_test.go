@@ -82,3 +82,24 @@ func BenchmarkCopysetWireEncode1000(b *testing.B) {
 	}
 	_ = buf
 }
+
+// The hit path's primitive: pin a page, copy one word, unpin.
+func benchPin(b *testing.B, write bool) {
+	s := NewSeg(1, 512)
+	s.Install(0, nil, ReadWrite, 0)
+	var w [4]byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f := s.Pin(0, write)
+		if write {
+			copy(f[8:12], w[:])
+		} else {
+			copy(w[:], f[8:12])
+		}
+		s.Unpin(0, write)
+	}
+}
+
+func BenchmarkPinRead(b *testing.B)  { benchPin(b, false) }
+func BenchmarkPinWrite(b *testing.B) { benchPin(b, true) }

@@ -18,10 +18,21 @@
 // paper every path from a master-table change back to user mode passes
 // through the scheduler's remap, so user code never observes a stale
 // process PTE.
+//
+// Live accessors have no scheduler: they run on their own goroutines
+// and use a page the site holds without asking the protocol engine
+// (the hit path, DESIGN.md §8.5). Each page therefore carries a frame
+// lock and a published protection, the access a hit may make. The
+// master-table changes (Install, Invalidate, Downgrade, Upgrade) take
+// the frame lock exclusively and republish, which plays the remap's
+// part: a change waits out every hit in flight, and no later hit sees
+// the old protection.
 package mmu
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -74,9 +85,16 @@ func (f FaultType) String() string {
 	return fmt.Sprintf("FaultType(%d)", uint8(f))
 }
 
-// PTE is one master page-table entry.
+// PTE is one master page-table entry, with the state the hit path
+// consults. mu guards the frame's bytes and its frames slot against the
+// engine; hit is the Prot a hit may use, Prot unless the page or its
+// segment is fenced.
 type PTE struct {
 	Prot Prot
+
+	mu      sync.RWMutex
+	hit     atomic.Uint32
+	pending bool // every access faults: an error awaits the next one
 }
 
 // AuxPTE is one auxiliary parallel page table entry (paper Table 2).
@@ -90,12 +108,16 @@ type AuxPTE struct {
 // NoWriter is the AuxPTE.Writer value when no site holds a writable copy.
 const NoWriter = -1
 
-// Seg is the per-site MMU state for one segment.
+// Seg is the per-site MMU state for one segment. The protocol engine
+// owns the master table and the auxiliary table and calls every method
+// except Pin and Unpin from one goroutine; Pin and Unpin are safe from
+// any goroutine.
 type Seg struct {
 	pageSize int
 	pte      []PTE
 	aux      []AuxPTE
 	frames   [][]byte
+	fenced   bool // every access faults: the segment is released or destroyed
 }
 
 // NewSeg creates MMU state for a segment of npages pages.
@@ -148,8 +170,89 @@ func (s *Seg) Check(p int, write bool) FaultType {
 
 // Frame returns the frame backing page p, or nil when the page is not
 // present. Callers must respect the protection; the protocol engine is
-// the only writer of invalid/RO frames.
+// the only writer of invalid/RO frames. A hit may be writing a
+// read-write frame concurrently: copy one with Snapshot instead.
 func (s *Seg) Frame(p int) []byte { return s.frames[p] }
+
+// Snapshot returns a copy of page p's frame, taken under the frame lock
+// so a concurrent write hit cannot tear it.
+func (s *Seg) Snapshot(p int) []byte {
+	e := &s.pte[p]
+	e.mu.RLock()
+	b := append([]byte(nil), s.frames[p]...)
+	e.mu.RUnlock()
+	return b
+}
+
+// Pin locks page p's frame for one access and returns it, or returns
+// nil, holding nothing, when the published protection does not allow
+// the access: the caller must fault. A read pins the frame shared and
+// a write exclusively, so a read-modify-write under one pin is atomic.
+// Release the pin with Unpin and the same write flag.
+func (s *Seg) Pin(p int, write bool) []byte {
+	e := &s.pte[p]
+	need := uint32(ReadOnly)
+	if write {
+		need = uint32(ReadWrite)
+	}
+	if e.hit.Load() < need {
+		return nil
+	}
+	if write {
+		e.mu.Lock()
+	} else {
+		e.mu.RLock()
+	}
+	if e.hit.Load() < need {
+		s.Unpin(p, write)
+		return nil
+	}
+	return s.frames[p]
+}
+
+// Unpin releases a pin taken by Pin.
+func (s *Seg) Unpin(p int, write bool) {
+	if write {
+		s.pte[p].mu.Unlock()
+	} else {
+		s.pte[p].mu.RUnlock()
+	}
+}
+
+// SetPending fences page p off the hit path while on holds: every
+// access faults, so the error the engine holds for the page reaches the
+// next accessor.
+func (s *Seg) SetPending(p int, on bool) {
+	e := &s.pte[p]
+	e.mu.Lock()
+	e.pending = on
+	s.publish(p)
+	e.mu.Unlock()
+}
+
+// SetFenced fences every page off the hit path while on holds (the
+// segment is being released or was destroyed). It waits out the hits
+// in flight.
+func (s *Seg) SetFenced(on bool) {
+	s.fenced = on
+	for p := range s.pte {
+		e := &s.pte[p]
+		e.mu.Lock()
+		s.publish(p)
+		e.mu.Unlock()
+	}
+}
+
+// publish recomputes page p's hit protection; the caller holds the
+// frame lock exclusively.
+func (s *Seg) publish(p int) {
+	e := &s.pte[p]
+	prot := e.Prot
+	if s.fenced || e.pending {
+		prot = Invalid
+	}
+	e.hit.Store(uint32(prot))
+}
 
 // Install maps page p at this site with protection prot and contents
 // data (copied; nil means zero-filled), recording the install time for
@@ -158,7 +261,10 @@ func (s *Seg) Install(p int, data []byte, prot Prot, now time.Duration) {
 	if prot == Invalid {
 		panic("mmu: Install with Invalid protection")
 	}
-	if s.frames[p] == nil {
+	e := &s.pte[p]
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.Prot == Invalid {
 		s.frames[p] = make([]byte, s.pageSize)
 	}
 	if data != nil {
@@ -171,17 +277,30 @@ func (s *Seg) Install(p int, data []byte, prot Prot, now time.Duration) {
 			s.frames[p][i] = 0
 		}
 	}
-	s.pte[p].Prot = prot
+	e.Prot = prot
 	s.aux[p].InstallTime = now
+	s.publish(p)
 }
 
 // Invalidate unmaps page p and discards the frame. It returns the old
 // contents so a caller forwarding the page (invalidated writer sending
-// its data to the new writer) can use them without an extra copy.
+// its data to the new writer) can use them without an extra copy: once
+// it returns, no hit can reach them.
 func (s *Seg) Invalidate(p int) []byte {
+	e := &s.pte[p]
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	f := s.frames[p]
+	old := e.Prot
+	e.Prot = Invalid
+	if mutateStaleHit && old != Invalid {
+		// MUTATION BUILD: the frame stays mapped and hits keep reading
+		// it, the stale PTE the remap exists to prevent.
+		e.hit.Store(uint32(ReadOnly))
+		return f
+	}
 	s.frames[p] = nil
-	s.pte[p].Prot = Invalid
+	s.publish(p)
 	return f
 }
 
@@ -192,8 +311,12 @@ func (s *Seg) Downgrade(p int, now time.Duration) {
 	if s.pte[p].Prot != ReadWrite {
 		panic(fmt.Sprintf("mmu: downgrade of %v page %d", s.pte[p].Prot, p))
 	}
-	s.pte[p].Prot = ReadOnly
+	e := &s.pte[p]
+	e.mu.Lock()
+	e.Prot = ReadOnly
 	s.aux[p].InstallTime = now
+	s.publish(p)
+	e.mu.Unlock()
 }
 
 // Upgrade raises a read-only page to read-write in place (optimization
@@ -203,8 +326,12 @@ func (s *Seg) Upgrade(p int, now time.Duration) {
 	if s.pte[p].Prot != ReadOnly {
 		panic(fmt.Sprintf("mmu: upgrade of %v page %d", s.pte[p].Prot, p))
 	}
-	s.pte[p].Prot = ReadWrite
+	e := &s.pte[p]
+	e.mu.Lock()
+	e.Prot = ReadWrite
 	s.aux[p].InstallTime = now
+	s.publish(p)
+	e.mu.Unlock()
 }
 
 // Present reports whether page p has a frame at this site.

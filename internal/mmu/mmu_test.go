@@ -231,3 +231,78 @@ func TestProtAndFaultStrings(t *testing.T) {
 		t.Fatal("unknown values must still render")
 	}
 }
+
+// TestRevocationWaitsForPinnedHit: Invalidate and Downgrade take the
+// frame lock exclusively, so each waits for a read hit already in
+// flight, and a later pin sees the revoked protection.
+func TestRevocationWaitsForPinnedHit(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		revoke func(s *Seg)
+		write  bool // the access the revoked page no longer allows
+	}{
+		{"invalidate", func(s *Seg) { s.Invalidate(0) }, false},
+		{"downgrade", func(s *Seg) { s.Downgrade(0, 0) }, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newSeg()
+			s.Install(0, nil, ReadWrite, 0)
+			frame := s.Pin(0, false)
+			if frame == nil {
+				t.Fatal("read pin of a writable page faulted")
+			}
+			done := make(chan struct{})
+			go func() {
+				tc.revoke(s)
+				close(done)
+			}()
+			select {
+			case <-done:
+				t.Fatal("revocation finished while a hit held the frame")
+			case <-time.After(20 * time.Millisecond):
+			}
+			s.Unpin(0, false)
+			<-done
+			if s.Pin(0, tc.write) != nil {
+				t.Fatal("pin succeeded after the revocation")
+			}
+		})
+	}
+}
+
+// TestPinFollowsPublishedProtection: a pin needs the access the page's
+// protection allows, and a pending error or a fenced segment sends
+// every access to the fault path until lifted.
+func TestPinFollowsPublishedProtection(t *testing.T) {
+	s := newSeg()
+	if s.Pin(0, false) != nil {
+		t.Fatal("pin of an absent page")
+	}
+	s.Install(0, nil, ReadOnly, 0)
+	if s.Pin(0, true) != nil {
+		t.Fatal("write pin of a read-only page")
+	}
+	if s.Pin(0, false) == nil {
+		t.Fatal("read pin of a read-only page faulted")
+	}
+	s.Unpin(0, false)
+	s.Upgrade(0, 0)
+	if s.Pin(0, true) == nil {
+		t.Fatal("write pin of a writable page faulted")
+	}
+	s.Unpin(0, true)
+	s.SetPending(0, true)
+	if s.Pin(0, false) != nil {
+		t.Fatal("pin of a page with a pending error")
+	}
+	s.SetPending(0, false)
+	s.SetFenced(true)
+	if s.Pin(0, false) != nil {
+		t.Fatal("pin of a fenced segment")
+	}
+	s.SetFenced(false)
+	if s.Pin(0, true) == nil {
+		t.Fatal("write pin faulted after the fences lifted")
+	}
+	s.Unpin(0, true)
+}

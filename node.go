@@ -10,8 +10,9 @@ import (
 )
 
 // node is one live site: a protocol engine owned by an actor loop.
-// Every engine call happens on the loop goroutine; accessors and the
-// transport post operations and (when needed) wait for replies.
+// Every engine call but RecordOp happens on the loop goroutine. The
+// transport posts messages; accessors serve hits on their own
+// goroutines and post only faults, waiting for the page to come in.
 type node struct {
 	site  int
 	eng   *core.Engine

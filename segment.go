@@ -2,7 +2,7 @@ package mirage
 
 import (
 	"fmt"
-	"sync"
+	"sync/atomic"
 
 	"mirage/internal/mem"
 	"mirage/internal/mmu"
@@ -15,11 +15,11 @@ import (
 type Segment struct {
 	site     *Site
 	seg      *mem.Segment
+	m        *mmu.Seg // the site's page table and frames for seg
 	readonly bool
 	pid      int32
 
-	mu       sync.Mutex
-	detached bool
+	detached atomic.Bool
 }
 
 // Size returns the segment size in bytes.
@@ -34,25 +34,20 @@ func (g *Segment) PageSize() int { return g.seg.PageSize }
 // Detach unmaps the segment (System V shmdt). The cluster-wide last
 // detach destroys the segment.
 func (g *Segment) Detach() error {
-	g.mu.Lock()
-	if g.detached {
-		g.mu.Unlock()
+	if !g.detached.CompareAndSwap(false, true) {
 		return ErrDetached
 	}
-	g.detached = true
-	g.mu.Unlock()
 	return g.site.detach(g.seg.ID)
 }
 
 // access runs fn over each page-aligned chunk of [off, off+n) with the
-// page held in the needed mode, faulting through the protocol engine
-// as required. fn runs on the site's actor loop, serialized with the
-// protocol, so the frame bytes are stable for its duration.
+// page held in the needed mode. fn runs on the caller's goroutine with
+// the page's frame pinned — shared for a read, exclusive for a write —
+// so the protocol cannot revoke the page while fn runs, and a write's
+// read-modify-write is atomic. Only a fault involves the site's actor
+// loop, which brings the page in; the access then retries the hit.
 func (g *Segment) access(off, n int, write bool, fn func(frame []byte, frameOff, bufOff, k int)) error {
-	g.mu.Lock()
-	detached := g.detached
-	g.mu.Unlock()
-	if detached {
+	if g.detached.Load() {
 		return ErrDetached
 	}
 	if write && g.readonly {
@@ -61,8 +56,6 @@ func (g *Segment) access(off, n int, write bool, fn func(frame []byte, frameOff,
 	if off < 0 || n < 0 || off+n > g.seg.Size {
 		return fmt.Errorf("%w: [%d,%d) of %d", ErrBounds, off, off+n, g.seg.Size)
 	}
-	nd := g.site.node
-	segID := int32(g.seg.ID)
 	ps := g.seg.PageSize
 	bufOff := 0
 	for n > 0 {
@@ -76,45 +69,19 @@ func (g *Segment) access(off, n int, write bool, fn func(frame []byte, frameOff,
 			if g.seg.Removed() {
 				return ErrDetached
 			}
-			done := make(chan bool, 1)
-			var faultErr error
-			fo, bufOff, k := fo, bufOff, k
-			ok := nd.post(func() {
-				if err := nd.eng.FaultError(segID, int32(page)); err != nil {
-					// A previous fault on this page was degraded (peer
-					// unreachable past the retry budget). Surface it
-					// instead of refaulting into the same partition.
-					faultErr = err
-					done <- true
-					return
+			if frame := g.m.Pin(page, write); frame != nil {
+				fn(frame, fo, bufOff, k)
+				if g.site.c.opts.Check {
+					// Op record for VerifyTrace, under the pin so it
+					// lands in causal order with the page's protocol
+					// events.
+					g.site.node.eng.RecordOp(int32(g.seg.ID), int32(page), fo, write, frame[fo:fo+k])
 				}
-				if nd.eng.CheckAccess(segID, int32(page), write) == mmu.NoFault {
-					frame := nd.eng.Frame(segID, int32(page))
-					fn(frame, fo, bufOff, k)
-					if g.site.c.opts.Check {
-						// Op record for VerifyTrace; on the actor loop,
-						// so it lands in causal order with the protocol
-						// events.
-						nd.eng.RecordOp(segID, int32(page), fo, write, frame[fo:fo+k])
-					}
-					done <- true
-					return
-				}
-				nd.eng.Fault(segID, int32(page), write, g.pid, func() {
-					select {
-					case done <- false:
-					default: // already woken once for this attempt
-					}
-				})
-			})
-			if !ok {
-				return ErrDetached
-			}
-			if <-done {
-				if faultErr != nil {
-					return faultErr
-				}
+				g.m.Unpin(page, write)
 				break
+			}
+			if err := g.fault(page, write); err != nil {
+				return err
 			}
 		}
 		off += k
@@ -122,6 +89,45 @@ func (g *Segment) access(off, n int, write bool, fn func(frame []byte, frameOff,
 		n -= k
 	}
 	return nil
+}
+
+// fault brings page in with the needed access through the site's
+// protocol engine and waits until the page's local state changed. A nil
+// return means retry the access; the page may have been revoked again
+// meanwhile.
+func (g *Segment) fault(page int, write bool) error {
+	nd := g.site.node
+	segID, p := int32(g.seg.ID), int32(page)
+	done := make(chan error, 1)
+	ok := nd.post(func() {
+		if g.seg.Removed() {
+			// Destroyed: the engine may have dropped the segment, and
+			// a wake it posts once the node has closed never runs.
+			done <- ErrDetached
+			return
+		}
+		if err := nd.eng.FaultError(segID, p); err != nil {
+			// A previous fault on this page was degraded (peer
+			// unreachable past the retry budget). Surface it instead
+			// of refaulting into the same partition.
+			done <- err
+			return
+		}
+		if nd.eng.CheckAccess(segID, p, write) == mmu.NoFault {
+			done <- nil
+			return
+		}
+		nd.eng.Fault(segID, p, write, g.pid, func() {
+			select {
+			case done <- nil:
+			default: // already woken once for this attempt
+			}
+		})
+	})
+	if !ok {
+		return ErrDetached
+	}
+	return <-done
 }
 
 // ReadAt copies len(b) bytes from the segment at off into b,
@@ -164,11 +170,11 @@ func (g *Segment) SetUint32(off int, v uint32) error {
 // protocol state) adds delta to the word at off and returns the new
 // value. The word must not span pages.
 func (g *Segment) AddUint32(off int, delta uint32) (uint32, error) {
+	if off+4 <= g.seg.Size && off%g.seg.PageSize > g.seg.PageSize-4 {
+		panic("mirage: AddUint32 across a page boundary")
+	}
 	var out uint32
 	err := g.access(off, 4, true, func(frame []byte, fo, bo, k int) {
-		if k != 4 {
-			panic("mirage: AddUint32 across a page boundary")
-		}
 		v := uint32(frame[fo]) | uint32(frame[fo+1])<<8 | uint32(frame[fo+2])<<16 | uint32(frame[fo+3])<<24
 		v += delta
 		frame[fo] = byte(v)
