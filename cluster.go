@@ -57,14 +57,9 @@ func NewCluster(n int, opts Options) (*Cluster, error) {
 	if opts.Placement != nil && opts.Failover == nil {
 		return nil, fmt.Errorf("mirage: Options.Placement requires Options.Failover")
 	}
-	if opts.Replication != nil && opts.Replication.Replicas > 0 {
-		if opts.Failover == nil {
-			return nil, fmt.Errorf("mirage: Options.Replication requires Options.Failover")
-		}
-		if opts.Replication.Replicas >= n {
-			return nil, fmt.Errorf("mirage: Options.Replication.Replicas %d must be below the cluster size %d",
-				opts.Replication.Replicas, n)
-		}
+	if opts.Failover != nil && opts.Failover.Replicas >= n {
+		return nil, fmt.Errorf("mirage: Options.Failover.Replicas %d must be below the cluster size %d",
+			opts.Failover.Replicas, n)
 	}
 	if opts.AutoDelta != nil {
 		ad := opts.AutoDelta
@@ -95,28 +90,13 @@ func NewCluster(n int, opts Options) (*Cluster, error) {
 	engOpts := core.Options{
 		Policy:      opts.Policy,
 		Costs:       &core.Costs{}, // live nodes run at native speed
+		Sites:       n,
 		Reliability: opts.Reliability,
+		Failover:    opts.Failover,
 		Placement:   opts.Placement,
 		AutoDelta:   opts.AutoDelta,
 		Obs:         opts.Obs,
 		InvalFanout: opts.InvalFanout,
-	}
-	if opts.Reliability != nil && opts.Reliability.Sites == 0 {
-		rl := *opts.Reliability
-		rl.Sites = n
-		engOpts.Reliability = &rl
-	}
-	if opts.Failover != nil {
-		// Copy so the caller's struct is untouched; the cluster knows
-		// its own size better than the caller does.
-		fo := *opts.Failover
-		fo.Sites = n
-		engOpts.Failover = &fo
-	}
-	if opts.Replication != nil {
-		rp := *opts.Replication
-		rp.Sites = n
-		engOpts.Replication = &rp
 	}
 	if opts.TCP {
 		var meshes []*transport.TCPMesh

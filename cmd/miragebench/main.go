@@ -48,7 +48,7 @@
 // knee and the p99 at the last sustained rung per ladder.
 //
 // E22 prices consensus-replicated library records
-// (Options.Replication): a replication-factor × failure-mode grid over
+// (Failover.Replicas): a replication-factor × failure-mode grid over
 // a contended counter workload measures the standby cost of quorum
 // gating while nothing fails, the takeover latency of the log election
 // against E18's holder rebuild (isolated and correlated crashes), and

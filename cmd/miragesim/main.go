@@ -249,10 +249,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			if opts.Reliability == nil {
 				opts.Reliability = &core.Reliability{}
 			}
-			opts.Failover = &core.Failover{}
-		}
-		if *replicas > 0 {
-			opts.Replication = &core.Replication{Replicas: *replicas}
+			opts.Failover = &core.Failover{Replicas: *replicas}
 		}
 		if *autodelta {
 			opts.AutoDelta = &core.AutoDelta{}
@@ -415,9 +412,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	if h := c.FaultLatency; h.Count() > 0 {
 		fmt.Fprintf(stdout, "\nfault latency: %d faults, mean %v, p50 ≤%v, p99 ≤%v, max %v\n",
-			h.Count(), h.Mean().Round(100*time.Microsecond),
-			h.Quantile(0.5), h.Quantile(0.99), h.Max().Round(100*time.Microsecond))
-		h.WriteTo(stdout)
+			h.Count(), time.Duration(h.Mean()).Round(100*time.Microsecond),
+			time.Duration(h.Quantile(0.5)), time.Duration(h.Quantile(0.99)),
+			time.Duration(h.Max()).Round(100*time.Microsecond))
 	}
 
 	if *metrics && o != nil {

@@ -61,6 +61,7 @@ func fastAutoDelta() *core.AutoDelta {
 func newAutoNet(t *testing.T, sites int, opt core.Options, seed time.Duration) *autoNet {
 	n := &autoNet{t: t, k: sim.NewKernel(), down: make(map[int]bool)}
 	opt.Costs = &core.Costs{}
+	opt.Sites = sites
 	for i := 0; i < sites; i++ {
 		n.engines = append(n.engines, core.New(autoEnv{n, i}, opt))
 	}
@@ -126,7 +127,7 @@ func TestVerifyAcceptsAutoDeltaMigratedTrace(t *testing.T) {
 			AckTimeout: 20 * time.Millisecond, MaxBackoff: 100 * time.Millisecond,
 			MaxAttempts: 5, RequestTimeout: 10 * time.Second,
 		},
-		Failover: &core.Failover{Sites: 3},
+		Failover: &core.Failover{},
 		Placement: &core.Placement{
 			Window: 50 * time.Millisecond, MinRequests: 4,
 			Share: 0.5, PingPong: 0.8, Cooldown: time.Hour,
@@ -176,10 +177,9 @@ func TestVerifyAcceptsAutoDeltaTakeoverTrace(t *testing.T) {
 			AckTimeout: 20 * time.Millisecond, MaxBackoff: 100 * time.Millisecond,
 			MaxAttempts: 5, RequestTimeout: 10 * time.Second,
 		},
-		Failover:    &core.Failover{Sites: 3, RecoverTimeout: 500 * time.Millisecond},
-		Replication: &core.Replication{Replicas: 2, Sites: 3},
-		AutoDelta:   ad,
-		Obs:         o,
+		Failover:  &core.Failover{Replicas: 2, RecoverTimeout: 500 * time.Millisecond},
+		AutoDelta: ad,
+		Obs:       o,
 	}
 	n := newAutoNet(t, 3, opt, 30*time.Millisecond)
 

@@ -24,7 +24,7 @@
 //   - exactly-once grant application: no grant cycle commits twice and
 //     no granted install is applied twice (reliability layer, DESIGN.md
 //     §7);
-//   - replicated-log agreement: with Options.Replication on, sites
+//   - replicated-log agreement: with Failover.Replicas > 0, sites
 //     apply log entries in strictly ascending index order and agree on
 //     every (epoch, index) position, and no quorum-acknowledged
 //     mutation is lost across a takeover election (DESIGN.md §15).
@@ -100,11 +100,6 @@ type Config struct {
 	// grant cycles may abort without a commit, so a new cycle opening
 	// while one is open is legal (the checker closes it implicitly).
 	Reliable bool `json:"reliable"`
-	// InsiderUpgrades marks a trace recorded with
-	// core.Options.SkipInsiderUpgradeCheck: clock sites legitimately
-	// yield inside the window to insider upgrades, so the window
-	// invariant is skipped.
-	InsiderUpgrades bool `json:"insiderUpgrades,omitempty"`
 	// MaxViolations stops the checker after that many findings;
 	// default 100.
 	MaxViolations int `json:"-"`

@@ -56,7 +56,7 @@ type Scenario struct {
 	// failed ops.
 	Failover bool `json:"failover,omitempty"`
 	// Replicas is the segment's replication factor
-	// (core.Replication.Replicas); > 0 implies Failover.
+	// (core.Failover.Replicas); > 0 implies Failover.
 	Replicas int `json:"replicas,omitempty"`
 }
 
@@ -198,6 +198,7 @@ func runScenario(sc Scenario, sch *scheduler, maxSteps int) runResult {
 		Policy: core.InvalPolicy(sc.Policy),
 		Costs:  &core.Costs{},
 		Obs:    o,
+		Sites:  sc.Sites,
 	}
 	if sc.Chaos != "" {
 		plan, err := chaos.Parse(sc.Chaos)
@@ -220,10 +221,7 @@ func runScenario(sc Scenario, sch *scheduler, maxSteps int) runResult {
 		}
 	}
 	if sc.Failover || sc.Replicas > 0 {
-		opt.Failover = &core.Failover{Sites: sc.Sites, RecoverTimeout: 100 * sc.Hop}
-	}
-	if sc.Replicas > 0 {
-		opt.Replication = &core.Replication{Replicas: sc.Replicas, Sites: sc.Sites}
+		opt.Failover = &core.Failover{Replicas: sc.Replicas, RecoverTimeout: 100 * sc.Hop}
 	}
 	for i := 0; i < sc.Sites; i++ {
 		h.engines = append(h.engines, core.New(hEnv{h, i}, opt))

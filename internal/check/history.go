@@ -79,7 +79,7 @@ type replEntrySeen struct {
 }
 
 // replCheck is the checker's shadow of one segment's replicated log
-// (Options.Replication traces only; allocated on the first EvReplicate
+// (Failover.Replicas traces only; allocated on the first EvReplicate
 // or EvElect for the segment).
 type replCheck struct {
 	// seen is the entry identity first observed per log position; every
@@ -312,7 +312,7 @@ func (c *Checker) migrate(ev obs.Event) {
 // windowCheck fires when possession at the believed clock site ends at
 // instant t while its granted window is still running.
 func (c *Checker) windowCheck(p *pageCheck, ev obs.Event, what string) {
-	if c.cfg.Delta == 0 || c.cfg.InsiderUpgrades {
+	if c.cfg.Delta == 0 {
 		return
 	}
 	if p.clock != ev.Site {

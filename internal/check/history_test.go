@@ -148,8 +148,6 @@ func TestWindowEarlyDowngradeCaught(t *testing.T) {
 		{T: 10 * ms, Site: 1, Type: obs.EvDowngrade, Seg: 1, Cycle: 2},
 	}
 	wantInv(t, Verify(Config{Delta: 50 * ms}, evs), InvWindow)
-	// InsiderUpgrades mode waives the window invariant.
-	wantClean(t, Verify(Config{Delta: 50 * ms, InsiderUpgrades: true}, evs))
 }
 
 func TestDowngradeRefreshesWindow(t *testing.T) {

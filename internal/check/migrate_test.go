@@ -46,11 +46,12 @@ func newMigNet(t *testing.T, sites int, o *obs.Obs) *migNet {
 	n := &migNet{t: t, k: sim.NewKernel()}
 	opt := core.Options{
 		Costs: &core.Costs{},
+		Sites: sites,
 		Reliability: &core.Reliability{
 			AckTimeout: 20 * time.Millisecond, MaxBackoff: 100 * time.Millisecond,
 			MaxAttempts: 5, RequestTimeout: 10 * time.Second,
 		},
-		Failover: &core.Failover{Sites: sites},
+		Failover: &core.Failover{},
 		Placement: &core.Placement{
 			Window: 50 * time.Millisecond, MinRequests: 4,
 			Share: 0.5, PingPong: 0.8, Cooldown: time.Hour,

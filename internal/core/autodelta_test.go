@@ -207,7 +207,7 @@ func TestTuneInfoCarriesDenialSignals(t *testing.T) {
 // EWMAs, and the denial-side signals — with lastReq re-based into the
 // successor's clock domain, not dropped to zero for it to re-learn.
 func TestMigrationShipsTuningState(t *testing.T) {
-	n := newTestNet(t, 3, migOptions(nil, 3))
+	n := newTestNet(t, 3, migOptions(nil))
 	n.newSeg(2, 0)
 	const tuned = 7 * time.Millisecond
 	if err := n.engines[0].SetPageDelta(1, 0, tuned); err != nil {
@@ -266,7 +266,7 @@ func TestMigrationShipsTuningState(t *testing.T) {
 // — not cold-restart from the segment default.
 func TestAutoDeltaSurvivesTakeover(t *testing.T) {
 	o := obs.New()
-	opt := replOptions(o, 3, 2)
+	opt := replOptions(o, 2)
 	ad := fastAuto()
 	opt.AutoDelta = ad
 	n := newTestNet(t, 3, opt)
@@ -323,7 +323,7 @@ func TestFailoverRestoresTunedDeltaFromHoldings(t *testing.T) {
 			AckTimeout: 20 * time.Millisecond, MaxBackoff: 100 * time.Millisecond,
 			MaxAttempts: 5, RequestTimeout: 10 * time.Second,
 		},
-		Failover: &Failover{Sites: 3, RecoverTimeout: 500 * time.Millisecond},
+		Failover: &Failover{RecoverTimeout: 500 * time.Millisecond},
 	}
 	n := newTestNet(t, 3, opt)
 	n.newSeg(1, 0) // segment default Δ is 0

@@ -142,6 +142,12 @@ type Options struct {
 	// is set) structured coherence events. nil — the default — keeps
 	// every hot path at a single pointer test and zero allocations.
 	Obs *obs.Obs
+	// Sites is the cluster size. The cluster constructors set it;
+	// Failover requires it, because successor election and the
+	// replication groups walk the site ID space and every engine must
+	// agree on them. With Reliability it also sizes the ARQ timers (see
+	// Reliability.withDefaults).
+	Sites int
 	// Reliability, when non-nil, enables the reliable-delivery layer
 	// and the degraded-grant recovery paths (DESIGN.md §7). nil keeps
 	// the engine byte-identical to the paper reproduction, which
@@ -149,23 +155,16 @@ type Options struct {
 	Reliability *Reliability
 	// Failover, when non-nil, enables library-site takeover (DESIGN.md
 	// §11): a site that finds the library unreachable nominates a
-	// successor, which rebuilds the record from surviving holders under
-	// a bumped library epoch. Requires Reliability.
+	// successor, which installs the record from the replicated log
+	// (Failover.Replicas > 0, DESIGN.md §15) or rebuilds it from
+	// surviving holders, under a bumped library epoch. Requires
+	// Reliability and Sites.
 	Failover *Failover
 	// Placement, when non-nil, enables voluntary library migration
 	// (DESIGN.md §14): the library watches per-site request demand and
 	// rehomes the library role to a remote site that dominates it, using
-	// the failover epoch fence for the handoff. Requires Failover (and
-	// therefore Reliability).
+	// the failover epoch fence for the handoff. Requires Failover.
 	Placement *Placement
-	// Replication, when non-nil with Replicas > 0, mirrors every library
-	// page-record mutation to a group of follower sites before the
-	// mutation is acknowledged (DESIGN.md §15, docs/REPLICATION.md), so
-	// a takeover installs the record from the replicated log instead of
-	// interrogating every holder. Requires Failover (and therefore
-	// Reliability); falls back to the legacy holder rebuild when the
-	// group quorum is lost.
-	Replication *Replication
 	// TuneDelta, if non-nil, may return a new Δ for a page each time
 	// the library is about to grant it. Mirage ships the routine
 	// disabled (nil), as the paper does. Ignored when AutoDelta is set.
@@ -184,12 +183,6 @@ type Options struct {
 	// latency instead of one unicast per reader. Values below 2 (the
 	// default) keep the flat per-reader unicast of the paper.
 	InvalFanout int
-	// SkipInsiderUpgradeCheck, when set, lets a new writer that is a
-	// member of the current read set upgrade without the Δ clock check
-	// (reading the window as protection from outside interruption
-	// only). The default is the paper's Table 1: the clock check
-	// applies to every Readers→Writer transition.
-	SkipInsiderUpgradeCheck bool
 }
 
 // Stats counts engine activity. All counters are cumulative.
@@ -229,7 +222,7 @@ type Stats struct {
 	Migrations        int // library roles accepted here via voluntary migration
 	MigrationsRefused int // outbound offers refused, aborted, or superseded
 
-	// Replication counters; all zero unless Options.Replication is set.
+	// Replication counters; all zero unless Failover.Replicas > 0.
 	Appends      int // log entries appended by this site as leader
 	ReplCommits  int // entries acknowledged by a follower quorum
 	ReplDegraded int // gated mutations released without quorum (group degraded)
@@ -287,7 +280,7 @@ type segNode struct {
 	migOut *migration
 	migIn  *migInbound
 
-	// Replication state (Options.Replication): the per-segment log. At
+	// Replication state (Failover.Replicas): the per-segment log. At
 	// the leader repl.lead is non-nil and gates record mutations on
 	// quorum acks; at followers repl mirrors the applied record so an
 	// election can install from it.
@@ -314,8 +307,19 @@ type Engine struct {
 	auto  AutoDelta // normalized AutoDelta config; valid iff opt.AutoDelta != nil
 }
 
-// New creates an engine for env's site.
+// New creates an engine for env's site. It panics on a broken option
+// chain: Failover without Reliability (the takeover trigger is the
+// reliable channel's give-up verdict) or without Sites, and Placement
+// without Failover (migration rides on the failover epoch fence).
 func New(env Env, opt Options) *Engine {
+	switch {
+	case opt.Failover != nil && opt.Reliability == nil:
+		panic("core: Options.Failover requires Options.Reliability")
+	case opt.Failover != nil && opt.Sites <= 0:
+		panic("core: Options.Failover requires Options.Sites")
+	case opt.Placement != nil && opt.Failover == nil:
+		panic("core: Options.Placement requires Options.Failover")
+	}
 	if opt.HonorThreshold == 0 {
 		opt.HonorThreshold = vaxmodel.ShortRTT
 	}

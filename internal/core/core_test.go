@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -63,6 +64,7 @@ func newTestNet(t *testing.T, sites int, opt Options) *testNet {
 	if opt.Costs == nil {
 		opt.Costs = zeroCosts()
 	}
+	opt.Sites = sites
 	n := &testNet{t: t, k: sim.NewKernel(), delay: time.Millisecond, down: make(map[int]bool)}
 	for i := 0; i < sites; i++ {
 		n.engines = append(n.engines, New(tEnv{n, i}, opt))
@@ -132,6 +134,38 @@ func (n *testNet) checkSingleWriter(seg, page int32) {
 	}
 	if writers == 1 && readers > 0 {
 		n.t.Fatalf("page %d: writable copy coexists with %d read copies", page, readers)
+	}
+}
+
+// TestNewRejectsBrokenOptionChain: each fault-tolerance tier rides on
+// the one below it, so New refuses a configuration that would switch a
+// tier's epoch fencing on without the layer that triggers it, naming
+// the missing option.
+func TestNewRejectsBrokenOptionChain(t *testing.T) {
+	rel := &Reliability{}
+	cases := []struct {
+		name    string
+		opt     Options
+		missing string
+	}{
+		{"failover without reliability", Options{Sites: 3, Failover: &Failover{}}, "Options.Reliability"},
+		{"failover without sites", Options{Reliability: rel, Failover: &Failover{}}, "Options.Sites"},
+		{"placement without failover", Options{Sites: 3, Reliability: rel, Placement: &Placement{}}, "Options.Failover"},
+	}
+	n := newTestNet(t, 1, Options{})
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatalf("New built an engine, want a panic naming %s", tc.missing)
+				}
+				if msg, _ := r.(string); !strings.Contains(msg, tc.missing) {
+					t.Fatalf("New panicked with %v, want a panic naming %s", r, tc.missing)
+				}
+			}()
+			New(tEnv{n, 0}, tc.opt)
+		})
 	}
 }
 

@@ -31,12 +31,17 @@ import (
 // record cannot account for is reconciled by lateReport.
 
 // Failover enables library-site takeover. It requires
-// Options.Reliability: the takeover trigger is the reliable channel's
-// give-up verdict on a request to the library.
+// Options.Reliability, because the takeover trigger is the reliable
+// channel's give-up verdict on a request to the library, and
+// Options.Sites, because successor election walks the site ID space.
 type Failover struct {
-	// Sites is the cluster size; successor election walks the site ID
-	// space, so every engine must agree on it.
-	Sites int
+	// Replicas is the number of follower sites mirroring each segment's
+	// library record: the Replicas sites after the current library in
+	// ID order (DESIGN.md §15, docs/REPLICATION.md). A takeover then
+	// installs the record from the replicated log instead of
+	// interrogating every holder. 0 (the default) keeps the holder
+	// rebuild only.
+	Replicas int
 	// RecoverTimeout bounds the successor's wait for holder reports;
 	// sites that have not replied by then are treated as crashed and
 	// their copies as lost. Default 2s.
@@ -96,11 +101,10 @@ const (
 // holdingsPerChunk keeps each KRecoverReply under wire.MaxData.
 const holdingsPerChunk = 8192
 
-// failoverEnabled reports whether takeover is configured. The trigger
-// lives in the reliability layer, so Failover without Reliability is
-// inert by construction; NewCluster rejects the combination up front.
+// failoverEnabled reports whether takeover is configured. New refuses
+// Failover without Reliability, so the trigger is always armed.
 func (e *Engine) failoverEnabled() bool {
-	return e.opt.Failover != nil && e.rel != nil
+	return e.opt.Failover != nil
 }
 
 // triggerFailover nominates a successor for the segment's unreachable
@@ -109,11 +113,11 @@ func (e *Engine) failoverEnabled() bool {
 // returns false when no candidate remains and the caller should fall
 // back to the degraded-grant path.
 func (e *Engine) triggerFailover(sn *segNode, seg int32, tried mmu.Copyset) bool {
-	fo := e.opt.Failover
+	n := e.opt.Sites
 	dead := sn.curLib
 	cand := -1
-	for i := 1; i < fo.Sites; i++ {
-		c := (dead + i) % fo.Sites
+	for i := 1; i < n; i++ {
+		c := (dead + i) % n
 		if c == dead || tried.Has(c) {
 			continue
 		}
@@ -223,9 +227,8 @@ func (e *Engine) beginRecovery(sn *segNode) {
 // arms the report timeout; recovery finishes immediately when there is
 // nobody to ask.
 func (e *Engine) queryHoldings(sn *segNode, rc *recovery) {
-	fo := e.opt.Failover
 	seg := int32(sn.meta.ID)
-	for s := 0; s < fo.Sites; s++ {
+	for s := 0; s < e.opt.Sites; s++ {
 		if s == e.site || s == rc.from {
 			continue
 		}
@@ -236,7 +239,7 @@ func (e *Engine) queryHoldings(sn *segNode, rc *recovery) {
 		e.finishRecovery(sn)
 		return
 	}
-	rc.cancel = e.env.After(fo.recoverTimeout(), func() {
+	rc.cancel = e.env.After(e.opt.Failover.recoverTimeout(), func() {
 		if cur, ok := e.segs[seg]; !ok || cur != sn || sn.recov != rc {
 			return
 		}

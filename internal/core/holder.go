@@ -154,8 +154,7 @@ func (e *Engine) handleInval(sn *segNode, m *wire.Msg) {
 		return
 	}
 	now := e.env.Now()
-	insider := m.Mode == wire.Write && m.Upgrade && e.opt.SkipInsiderUpgradeCheck
-	if rem := sn.m.WindowRemaining(p, now); rem > 0 && !insider && !mutateSkipWindowCheck {
+	if rem := sn.m.WindowRemaining(p, now); rem > 0 && !mutateSkipWindowCheck {
 		// The window has not expired: §6.1 "the clock site replies
 		// immediately with the amount of time the library must wait".
 		// However the policy resolves it, this is a Δ denial — the

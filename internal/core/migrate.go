@@ -31,8 +31,8 @@ import (
 // Placement configures the voluntary-migration policy: the library
 // tracks per-site request demand for each segment in sliding windows
 // and offers the library role to a remote site that dominates the
-// window. Requires Options.Failover (and therefore Reliability): the
-// handoff is built on the library-epoch fence.
+// window. Requires Options.Failover: the handoff is built on the
+// library-epoch fence.
 type Placement struct {
 	// Window is the demand-sampling period; the policy is evaluated at
 	// the first request after each window elapses. Default 250ms.
@@ -98,9 +98,9 @@ type migInbound struct {
 }
 
 // placementEnabled reports whether voluntary migration is configured.
-// Like failover, the machinery is inert without the reliability layer.
+// New refuses Placement without Failover.
 func (e *Engine) placementEnabled() bool {
-	return e.opt.Placement != nil && e.failoverEnabled()
+	return e.opt.Placement != nil
 }
 
 // noteDemand records one library request for the placement policy and
@@ -138,9 +138,8 @@ func (e *Engine) evalPlacement(sn *segNode, pl *placeTrack, p Placement, now tim
 	if pl.lastMove != 0 && now-pl.lastMove < p.Cooldown {
 		return
 	}
-	fo := e.opt.Failover
 	lead, leadN, runN := -1, 0, 0
-	for s := 0; s < fo.Sites; s++ {
+	for s := 0; s < e.opt.Sites; s++ {
 		n := pl.demand[s]
 		if n == 0 {
 			continue
@@ -343,7 +342,7 @@ func (e *Engine) handleMigrateAck(sn *segNode, m *wire.Msg) {
 		}
 	}
 	e.adoptEpoch(sn, m.SegEpoch, mig.target)
-	for s := 0; s < e.opt.Failover.Sites; s++ {
+	for s := 0; s < e.opt.Sites; s++ {
 		if notify[s] {
 			e.send(s, &wire.Msg{
 				Kind: wire.KRecover, Seg: seg, Page: -1, Req: int32(mig.target),

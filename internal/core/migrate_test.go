@@ -12,13 +12,13 @@ import (
 // aggressive policy so a short driven workload crosses the thresholds:
 // small windows, low demand floor, and an hour-long cooldown so a test
 // sees at most one move per segment per site.
-func migOptions(o *obs.Obs, sites int) Options {
+func migOptions(o *obs.Obs) Options {
 	return Options{
 		Reliability: &Reliability{
 			AckTimeout: 20 * time.Millisecond, MaxBackoff: 100 * time.Millisecond,
 			MaxAttempts: 5, RequestTimeout: 10 * time.Second,
 		},
-		Failover: &Failover{Sites: sites},
+		Failover: &Failover{},
 		Placement: &Placement{
 			Window: 50 * time.Millisecond, MinRequests: 4,
 			Share: 0.5, PingPong: 0.8, Cooldown: time.Hour,
@@ -40,7 +40,7 @@ func driveSkew(n *testNet, seg int32, loops int) {
 
 func TestMigrationRehomesLibrary(t *testing.T) {
 	o := obs.New()
-	n := newTestNet(t, 3, migOptions(o, 3))
+	n := newTestNet(t, 3, migOptions(o))
 	n.newSeg(2, 0)
 
 	driveSkew(n, 1, 40)
@@ -96,7 +96,7 @@ func TestMigrationRehomesLibrary(t *testing.T) {
 // successor.
 func TestMigrationFencesStaleLibraryBelief(t *testing.T) {
 	o := obs.New()
-	n := newTestNet(t, 3, migOptions(o, 3))
+	n := newTestNet(t, 3, migOptions(o))
 	n.newSeg(2, 0)
 
 	// Site 2 never participates, so its view stays epoch 0 / library 0.
@@ -128,7 +128,7 @@ func TestMigrationFencesStaleLibraryBelief(t *testing.T) {
 // same page split the demand window evenly; the ping-pong guard must
 // keep the library where it is.
 func TestMigrationPingPongRefused(t *testing.T) {
-	n := newTestNet(t, 3, migOptions(nil, 3))
+	n := newTestNet(t, 3, migOptions(nil))
 	n.newSeg(2, 0)
 
 	for i := 0; i < 40; i++ {
@@ -150,7 +150,7 @@ func TestMigrationPingPongRefused(t *testing.T) {
 // TestMigrationDisabledWithoutPlacement: the demand tracker must stay
 // inert when Options.Placement is nil.
 func TestMigrationDisabledWithoutPlacement(t *testing.T) {
-	opt := migOptions(nil, 3)
+	opt := migOptions(nil)
 	opt.Placement = nil
 	n := newTestNet(t, 3, opt)
 	n.newSeg(2, 0)
@@ -169,7 +169,7 @@ func TestMigrationDisabledWithoutPlacement(t *testing.T) {
 // nobody writes while a site still holds its writable copy, and the
 // next grant would mint a second writer.
 func TestMigrationRefusesMalformedOffer(t *testing.T) {
-	n := newTestNet(t, 3, migOptions(nil, 3))
+	n := newTestNet(t, 3, migOptions(nil))
 	n.newSeg(4, 0)
 	n.acquire(2, 1, 3, true) // site 2 writes page 3, the offer's last record
 	n.settle()

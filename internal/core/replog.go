@@ -15,14 +15,15 @@ import (
 //
 // Failover (DESIGN.md §11) rebuilds the library record after a crash by
 // interrogating every surviving holder — a cluster-wide pause whose
-// length grows with the site count. Replication removes the pause: the
-// library (leader) mirrors every page-record mutation to a small group
-// of follower sites as log entries BEFORE the mutation's effects reach
-// the rest of the cluster, so a successor already inside the group can
-// install the record from its log tail instead of reconstructing it.
-// The log term is the existing per-segment library epoch: a takeover
-// bumps it exactly as failover does, and the same epoch fence that
-// isolates a dead library's traffic isolates a dead leader's stream.
+// length grows with the site count. Replication (Failover.Replicas > 0)
+// removes the pause: the library (leader) mirrors every page-record
+// mutation to a small group of follower sites as log entries BEFORE the
+// mutation's effects reach the rest of the cluster, so a successor
+// already inside the group can install the record from its log tail
+// instead of reconstructing it. The log term is the existing per-segment
+// library epoch: a takeover bumps it exactly as failover does, and the
+// same epoch fence that isolates a dead library's traffic isolates a
+// dead leader's stream.
 //
 // Safety hinges on WHEN an entry is written relative to the mutation it
 // describes. Grant cycles log a write-ahead *intent* (prior and post
@@ -37,45 +38,21 @@ import (
 // carrying the committed record. Entries are full per-page snapshots,
 // so both ends compact the log to the latest entry per page — no
 // unbounded log, and a vote reply is at most one entry per page.
-type Replication struct {
-	// Replicas is the number of follower sites mirroring each segment's
-	// record: the R sites after the current library in ID order. 0
-	// disables replication (the zero Options.Replication is inert).
-	Replicas int
-	// SyncMode selects how many acknowledgements gate a mutation.
-	SyncMode SyncMode
-	// Sites is the cluster size; cluster constructors fill it like
-	// Failover.Sites, so every engine derives the same follower groups.
-	Sites int
-}
-
-// SyncMode selects the replication acknowledgement discipline.
-type SyncMode int
-
-const (
-	// SyncQuorum (the default) gates each intent on a majority of the
-	// group (leader + Replicas followers), leader included.
-	SyncQuorum SyncMode = iota
-	// SyncAll gates each intent on every live follower, shrinking the
-	// election quorum to one: any single group member's log suffices.
-	SyncAll
-)
 
 // replicationEnabled reports whether the replicated-record machinery is
-// configured. Like Placement it is inert without Failover (and
-// therefore Reliability): the takeover that consumes the log is the
-// failover election.
+// configured (Failover.Replicas > 0): the takeover that consumes the log
+// is the failover election.
 func (e *Engine) replicationEnabled() bool {
-	return e.opt.Replication != nil && e.opt.Replication.Replicas > 0 && e.failoverEnabled()
+	return e.opt.Failover != nil && e.opt.Failover.Replicas > 0
 }
 
 // replFollowers returns the follower group for a segment led by
 // leader: the Replicas sites after it in ID order.
 func (e *Engine) replFollowers(leader int) []int {
-	rp := e.opt.Replication
+	n := e.opt.Sites
 	var out []int
-	for i := 1; len(out) < rp.Replicas && i < rp.Sites; i++ {
-		out = append(out, (leader+i)%rp.Sites)
+	for i := 1; len(out) < e.opt.Failover.Replicas && i < n; i++ {
+		out = append(out, (leader+i)%n)
 	}
 	return out
 }
@@ -92,13 +69,10 @@ func (e *Engine) replGroupHas(leader, s int) bool {
 }
 
 // replQuorum is the number of group members (leader counts itself)
-// whose applied log must cover an intent before its cycle opens.
+// whose applied log must cover an intent before its cycle opens: a
+// majority of the leader and its Replicas followers.
 func (e *Engine) replQuorum() int {
-	rp := e.opt.Replication
-	if rp.SyncMode == SyncAll {
-		return rp.Replicas + 1
-	}
-	return (rp.Replicas+1)/2 + 1
+	return (e.opt.Failover.Replicas+1)/2 + 1
 }
 
 // replVoteQuorum is the number of group logs (the winner's own
@@ -106,7 +80,7 @@ func (e *Engine) replQuorum() int {
 // vote set intersects any commit set in at least one surviving
 // follower.
 func (e *Engine) replVoteQuorum() int {
-	return e.opt.Replication.Replicas + 2 - e.replQuorum()
+	return e.opt.Failover.Replicas + 2 - e.replQuorum()
 }
 
 // replEntry is one log entry: a full page-record snapshot, so per-page
@@ -460,7 +434,7 @@ func (e *Engine) replAppendSet(sn *segNode, page int32) {
 // re-bases it, and it refuses every append but a re-base (Page -1)
 // until then.
 func (e *Engine) handleAppend(sn *segNode, m *wire.Msg) {
-	if e.opt.Replication == nil {
+	if !e.replicationEnabled() {
 		e.stats.Dropped++
 		return
 	}
@@ -646,7 +620,7 @@ func (e *Engine) beginElection(sn *segNode, rc *recovery) {
 // Upgrade marking the final chunk. A reply (Req == this site) is
 // buffered per voter and merged when complete.
 func (e *Engine) handleVote(sn *segNode, m *wire.Msg) {
-	if e.opt.Replication == nil {
+	if !e.replicationEnabled() {
 		e.stats.Dropped++
 		return
 	}

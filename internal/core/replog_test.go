@@ -14,15 +14,14 @@ import (
 
 // replOptions enables the full replication stack with short timers so
 // the sim-driven tests cross the give-up and recovery horizons quickly.
-func replOptions(o *obs.Obs, sites, replicas int) Options {
+func replOptions(o *obs.Obs, replicas int) Options {
 	return Options{
 		Reliability: &Reliability{
 			AckTimeout: 20 * time.Millisecond, MaxBackoff: 100 * time.Millisecond,
 			MaxAttempts: 5, RequestTimeout: 10 * time.Second,
 		},
-		Failover:    &Failover{Sites: sites, RecoverTimeout: 500 * time.Millisecond},
-		Replication: &Replication{Replicas: replicas, Sites: sites},
-		Obs:         o,
+		Failover: &Failover{Replicas: replicas, RecoverTimeout: 500 * time.Millisecond},
+		Obs:      o,
 	}
 }
 
@@ -202,7 +201,7 @@ func FuzzLibRecord(f *testing.F) {
 // sees its effects.
 func TestReplQuorumGatesMutations(t *testing.T) {
 	o := obs.New()
-	n := newTestNet(t, 3, replOptions(o, 3, 2))
+	n := newTestNet(t, 3, replOptions(o, 2))
 	n.newSeg(2, 0)
 
 	n.acquire(1, 1, 0, true)
@@ -263,7 +262,7 @@ func TestReplQuorumGatesMutations(t *testing.T) {
 // past the gap. It refuses, the leader benches it, and once the leader
 // re-bases it the follower's log matches the leader's again.
 func TestReplAppendDecodeErrorRefuses(t *testing.T) {
-	n := newTestNet(t, 3, replOptions(nil, 3, 2))
+	n := newTestNet(t, 3, replOptions(nil, 2))
 	n.newSeg(4, 0)
 
 	var gap uint32
@@ -322,7 +321,7 @@ func TestReplAppendDecodeErrorRefuses(t *testing.T) {
 // election, not a holder rebuild) and the record survives exactly.
 func TestReplElectionInstallsFromLog(t *testing.T) {
 	o := obs.New()
-	n := newTestNet(t, 3, replOptions(o, 3, 2))
+	n := newTestNet(t, 3, replOptions(o, 2))
 	n.newSeg(2, 0)
 
 	n.acquire(1, 1, 0, true) // site 1 becomes page 0's writer
@@ -371,7 +370,7 @@ func TestReplElectionInstallsFromLog(t *testing.T) {
 // takeover must fall back to the legacy holder rebuild — a recovery
 // without an election.
 func TestReplElectionFallback(t *testing.T) {
-	n := newTestNet(t, 3, replOptions(nil, 3, 2))
+	n := newTestNet(t, 3, replOptions(nil, 2))
 	n.newSeg(2, 0)
 
 	n.acquire(1, 1, 0, false) // survivor holds a read copy of page 0
@@ -401,7 +400,7 @@ func TestReplElectionFallback(t *testing.T) {
 // quorum, gated mutations must release degraded instead of wedging the
 // grant path.
 func TestReplDegradedReleasesGates(t *testing.T) {
-	n := newTestNet(t, 4, replOptions(nil, 4, 3))
+	n := newTestNet(t, 4, replOptions(nil, 3))
 	n.newSeg(1, 0)
 
 	n.acquire(1, 1, 0, true)
@@ -432,7 +431,7 @@ func TestReplConcurrentClusters(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			n := newTestNet(t, 3, replOptions(nil, 3, 2))
+			n := newTestNet(t, 3, replOptions(nil, 2))
 			n.newSeg(2, 0)
 			for i := 0; i < 4; i++ {
 				n.acquire(1, 1, 0, true)
@@ -459,7 +458,7 @@ func TestReplConcurrentClusters(t *testing.T) {
 // successor leading a freshly seeded log (the offer is the log head),
 // with the old leader deposed.
 func TestReplMigrationShipsLogHead(t *testing.T) {
-	opt := replOptions(nil, 3, 2)
+	opt := replOptions(nil, 2)
 	opt.Placement = &Placement{
 		Window: 50 * time.Millisecond, MinRequests: 4,
 		Share: 0.5, PingPong: 0.8, Cooldown: time.Hour,
@@ -493,7 +492,7 @@ func TestReplMigrationShipsLogHead(t *testing.T) {
 // new epoch. Otherwise it gates and appends nothing, and the next
 // takeover elects from logs written before the rebuild.
 func TestReplFallbackReseedsLeader(t *testing.T) {
-	n := newTestNet(t, 6, replOptions(nil, 6, 4))
+	n := newTestNet(t, 6, replOptions(nil, 4))
 	n.newSeg(2, 0)
 	n.acquire(1, 1, 0, false)
 	n.acquire(1, 1, 1, false)
@@ -533,8 +532,7 @@ func TestReplFallbackReseedsLeader(t *testing.T) {
 // the rebuilt record forgets a copy the successor could restore, and
 // the stale clock-side cycle outlives its epoch.
 func TestTakeoverRollsBackSuccessorClockCycle(t *testing.T) {
-	opt := replOptions(nil, 4, 0)
-	opt.Replication = nil
+	opt := replOptions(nil, 0)
 	n := newTestNet(t, 4, opt)
 	n.newSeg(1, 0)
 	n.acquire(1, 1, 0, true)
@@ -585,7 +583,7 @@ func TestTakeoverRollsBackSuccessorClockCycle(t *testing.T) {
 // alongside it are leftovers ordered discarded, as for a live writer.
 // Left in place, they would be read copies no record tracks.
 func TestElectionOrdersReadersOfDeadWriter(t *testing.T) {
-	n := newTestNet(t, 3, replOptions(nil, 3, 2))
+	n := newTestNet(t, 3, replOptions(nil, 2))
 	n.newSeg(1, 0)
 	n.acquire(2, 1, 0, false)
 	n.settle()

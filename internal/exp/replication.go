@@ -15,7 +15,7 @@ import (
 
 // ---------------------------------------------------------------------------
 // E22 — beyond the paper: consensus-replicated library records
-// (Options.Replication, DESIGN.md §15). E18 priced reactive takeover:
+// (Failover.Replicas, DESIGN.md §15). E18 priced reactive takeover:
 // the successor interrogates every surviving holder and rebuilds the
 // page records from their reports, an outage bounded below by a network
 // round trip to the slowest survivor. This experiment prices the
@@ -89,11 +89,8 @@ func runReplicationWorkload(name string, replicas, perSite int, crash []int) Rep
 	o := obs.New()
 	engOpts := core.Options{
 		Reliability: failoverRel(),
-		Failover:    &core.Failover{},
+		Failover:    &core.Failover{Replicas: replicas},
 		Obs:         o,
-	}
-	if replicas > 0 {
-		engOpts.Replication = &core.Replication{Replicas: replicas}
 	}
 	c := ipc.NewCluster(replSites, ipc.Config{Chaos: plan, Engine: engOpts})
 

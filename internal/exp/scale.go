@@ -94,10 +94,10 @@ const (
 // faults. o, when non-nil, supplies the observability sink (a caller
 // wanting the trace passes obs.New()); otherwise a metrics-only sink
 // is used. chaosSpec, when non-empty, is a chaos plan injected with
-// the reliability layer enabled; rel overrides the auto-scaled ARQ
-// profile for such runs (nil takes scaleReliability). The returned
-// error reports a workload that failed to complete every round
-// (deadline hit or access error).
+// the reliability layer enabled; rel overrides the ARQ profile for
+// such runs (nil takes the defaults, which scale with the cluster
+// size). The returned error reports a workload that failed to complete
+// every round (deadline hit or access error).
 func runScalePoint(n, k, rounds int, o *obs.Obs, chaosSpec string, rel *core.Reliability) (ScalePoint, error) {
 	if o == nil {
 		o = &obs.Obs{Metrics: obs.NewRegistry()}
@@ -113,7 +113,7 @@ func runScalePoint(n, k, rounds int, o *obs.Obs, chaosSpec string, rel *core.Rel
 		}
 		cfg.Chaos = plan
 		if rel == nil {
-			rel = scaleReliability(n)
+			rel = &core.Reliability{}
 		}
 		cfg.Engine.Reliability = rel
 	}
@@ -250,17 +250,6 @@ func runScalePoint(n, k, rounds int, o *obs.Obs, chaosSpec string, rel *core.Rel
 	}
 	res.Relays = o.Metrics.Total(obs.CRelay)
 	return res, nil
-}
-
-// scaleReliability sizes the ARQ timers for an n-site cluster. The
-// linear-in-N profile this experiment discovered (a fixed 30 ms
-// AckTimeout retransmits into the library's own install backlog at
-// scale and congestion-collapses the cluster) is now the engine's
-// documented auto-scale: an unset AckTimeout with Sites ≥ 16 takes
-// Sites×8ms and the matching backoff/attempt/deadline profile. See
-// core.Reliability.Sites.
-func scaleReliability(n int) *core.Reliability {
-	return &core.Reliability{Sites: n}
 }
 
 // ScaleCheckResult reports one checked E20 run: the full protocol

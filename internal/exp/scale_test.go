@@ -3,6 +3,7 @@ package exp
 import (
 	"reflect"
 	"testing"
+	"time"
 
 	"mirage/internal/core"
 )
@@ -60,11 +61,11 @@ func TestE20ScaleCheckedUnderRelayCrash(t *testing.T) {
 }
 
 // TestAutoScaleReliabilityN100 is the livelock regression test behind
-// core.Reliability's Sites auto-scale (promoted from this experiment's
-// scaleReliability): at N=100 under a light drop plan, the scaled ARQ
+// core.Reliability's cluster-size auto-scale (first found by this
+// experiment): at N=100 under a light drop plan, the scaled ARQ
 // profile completes the barriered workload, while the fixed 30ms
-// profile (NoAutoScale) retransmits into the library's own install
-// backlog. The collapse compounds across rounds — each round's
+// profile (an explicit AckTimeout) retransmits into the library's own
+// install backlog. The collapse compounds across rounds — each round's
 // retransmit storm leaves the backlog deeper than the last — so one
 // round squeaks through but the third wedges every write cycle and the
 // run hits the virtual-time deadline instead of finishing.
@@ -76,7 +77,7 @@ func TestAutoScaleReliabilityN100(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping the livelock (negative) half in -short mode")
 	}
-	fixed := &core.Reliability{Sites: 100, NoAutoScale: true}
+	fixed := &core.Reliability{AckTimeout: 30 * time.Millisecond}
 	if _, err := runScalePoint(100, 8, 3, nil, plan, fixed); err == nil {
 		t.Fatal("fixed 30ms profile completed 3 rounds at N=100; the auto-scale rationale no longer holds")
 	}

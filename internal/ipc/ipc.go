@@ -26,7 +26,6 @@ import (
 	"mirage/internal/obs"
 	"mirage/internal/sched"
 	"mirage/internal/sim"
-	"mirage/internal/stats"
 	"mirage/internal/vaxmodel"
 )
 
@@ -96,14 +95,12 @@ type Cluster struct {
 	semsByKey map[mem.Key]*semSet
 	nextSem   SemID
 
-	// FaultLatency records, for every access that faulted, the time
-	// from the first fault to the access completing (§9.0-style
-	// observability; printed by cmd/miragesim).
-	FaultLatency *stats.Histogram
-
-	// obs mirrors Config.Engine.Obs for the access layer's fault
-	// latency histogram; nil when observability is off.
-	obs *obs.Obs
+	// FaultLatency records, for every access that faulted, the time in
+	// nanoseconds from the first fault to the access completing
+	// (§9.0-style observability; printed by cmd/miragesim). With
+	// Config.Engine.Obs metrics on it is the registry's
+	// fault_latency_ns histogram.
+	FaultLatency *obs.Hist
 }
 
 // Site is one machine.
@@ -152,24 +149,7 @@ func NewCluster(n int, cfg Config) *Cluster {
 	if cfg.MaxBytes == 0 {
 		cfg.MaxBytes = vaxmodel.MaxSegmentBytes
 	}
-	if rl := cfg.Engine.Reliability; rl != nil && rl.Sites == 0 {
-		// Fill in the cluster size so the AckTimeout auto-scale (see
-		// core.Reliability.Sites) sees the real N.
-		r := *rl
-		r.Sites = n
-		cfg.Engine.Reliability = &r
-	}
-	if fo := cfg.Engine.Failover; fo != nil && fo.Sites == 0 {
-		// Fill in the cluster size so callers can pass &core.Failover{}.
-		f := *fo
-		f.Sites = n
-		cfg.Engine.Failover = &f
-	}
-	if rp := cfg.Engine.Replication; rp != nil && rp.Sites == 0 {
-		r := *rp
-		r.Sites = n
-		cfg.Engine.Replication = &r
-	}
+	cfg.Engine.Sites = n
 	c := &Cluster{
 		K:            sim.NewKernel(),
 		Registry:     mem.NewRegistry(cfg.PageSize, cfg.Delta, cfg.MaxBytes),
@@ -177,8 +157,10 @@ func NewCluster(n int, cfg Config) *Cluster {
 		sems:         make(map[SemID]*semSet),
 		semsByKey:    make(map[mem.Key]*semSet),
 		nextSem:      1,
-		FaultLatency: stats.NewLatencyHistogram(),
-		obs:          cfg.Engine.Obs,
+		FaultLatency: obs.NewHist(int64(time.Millisecond)),
+	}
+	if o := cfg.Engine.Obs; o != nil && o.Metrics != nil {
+		c.FaultLatency = o.Metrics.Hist(obs.HFaultLatency)
 	}
 	c.Net = netsim.New(c.K, n)
 	c.Net.Obs = cfg.Engine.Obs
@@ -406,8 +388,7 @@ func (h *Shm) access(off, n int, write bool, fn func(frame []byte, frameOff, buf
 		}
 		if faultStart >= 0 {
 			lat := h.proc.Now() - faultStart
-			h.proc.site.c.FaultLatency.Observe(lat)
-			h.proc.site.c.obs.Observe(obs.HFaultLatency, int64(lat))
+			h.proc.site.c.FaultLatency.Observe(int64(lat))
 		}
 		frame := eng.Frame(segID, int32(page))
 		fn(frame, fo, bufOff, k)

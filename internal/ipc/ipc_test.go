@@ -460,7 +460,7 @@ func TestFaultLatencyHistogram(t *testing.T) {
 		t.Fatalf("faults recorded = %d", hist.Count())
 	}
 	// Table 3's ~28.9 ms lands in the ≤32 ms bucket.
-	if q := hist.Quantile(1.0); q < 27*time.Millisecond || q > 33*time.Millisecond {
+	if q := time.Duration(hist.Quantile(1.0)); q < 27*time.Millisecond || q > 33*time.Millisecond {
 		t.Fatalf("fault latency = %v, want ≈29 ms", q)
 	}
 }

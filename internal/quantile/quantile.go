@@ -1,10 +1,10 @@
 // Package quantile is the shared fixed-bucket quantile arithmetic
-// behind the repository's histograms. internal/stats.Histogram (the
-// simulator's latency histogram), internal/obs.Hist (the lock-free
-// metrics histogram), and internal/load's rung reports all resolve
-// quantiles the same way: scan bucket counts for the first bucket at or
-// past ceil(q·total) samples and report that bucket's upper bound —
-// an upper bound for the true quantile, exact to bucket resolution.
+// behind the repository's histograms. internal/obs.Hist (the lock-free
+// metrics histogram, which also holds the simulator's fault latencies)
+// and internal/load's rung reports both resolve quantiles the same way:
+// scan bucket counts for the first bucket at or past ceil(q·total)
+// samples and report that bucket's upper bound — an upper bound for the
+// true quantile, exact to bucket resolution.
 package quantile
 
 // Q returns an upper bound for the q-quantile of a fixed-bucket

@@ -59,38 +59,3 @@ func TestPctAndRatio(t *testing.T) {
 		t.Fatalf("Ratio zero = %q", got)
 	}
 }
-
-func TestHistogram(t *testing.T) {
-	h := NewLatencyHistogram()
-	if h.Count() != 0 || h.Mean() != 0 || h.Quantile(0.5) != 0 {
-		t.Fatal("empty histogram accessors")
-	}
-	for i := 0; i < 100; i++ {
-		h.Observe(10 * time.Millisecond)
-	}
-	h.Observe(3 * time.Second)
-	h.Observe(10 * time.Second) // overflow bucket
-	if h.Count() != 102 {
-		t.Fatalf("count = %d", h.Count())
-	}
-	if h.Max() != 10*time.Second {
-		t.Fatalf("max = %v", h.Max())
-	}
-	if q := h.Quantile(0.5); q != 16*time.Millisecond {
-		t.Fatalf("p50 = %v, want the 16ms bucket bound", q)
-	}
-	if q := h.Quantile(1.0); q != 10*time.Second {
-		t.Fatalf("p100 = %v", q)
-	}
-	if h.Mean() < 100*time.Millisecond || h.Mean() > 200*time.Millisecond {
-		t.Fatalf("mean = %v", h.Mean())
-	}
-	var buf bytes.Buffer
-	if _, err := h.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "≤16ms") || !strings.Contains(out, "+inf") {
-		t.Fatalf("render: %q", out)
-	}
-}

@@ -83,18 +83,26 @@ const (
 // ack-driven retransmission with exponential backoff, and degraded
 // grants (accessors get an error instead of hanging when a peer stays
 // unreachable past the retry budget). See core.Reliability for the
-// field defaults.
+// field defaults; at 16 sites and above an unset AckTimeout scales
+// with the cluster size.
 type Reliability = core.Reliability
 
 // Failover configures library-site failover: when a segment's library
 // site stays unreachable past the reliability layer's retry budget, a
-// deterministic successor (the next live site by number) reconstructs
-// the library's page records by querying the surviving holders, bumps
-// the segment's library epoch — carried on every subsequent protocol
+// deterministic successor (the next live site by number) bumps the
+// segment's library epoch — carried on every subsequent protocol
 // message and trace event, fencing the deposed library's stragglers —
-// and resumes granting. Requires Options.Reliability. The zero value is
-// usable: NewCluster fills in the cluster size, and RecoverTimeout (the
-// bound on waiting for holder reports) defaults per core.Failover.
+// installs the library's page records, and resumes granting. With
+// Replicas = 0 the successor rebuilds the records by querying the
+// surviving holders. With Replicas > 0 each library mirrors every
+// page-record mutation to the Replicas sites after it in ID order
+// before the mutation is acknowledged, so an elected follower installs
+// the records from its log with no cluster-wide pause, falling back to
+// the holder rebuild when the follower quorum is lost (see
+// docs/REPLICATION.md). Replicas must be below the cluster size.
+// Requires Options.Reliability. The zero value is usable:
+// RecoverTimeout (the bound on waiting for holder reports and votes)
+// defaults per core.Failover.
 type Failover = core.Failover
 
 // Placement configures voluntary library migration: each library site
@@ -109,17 +117,6 @@ type Failover = core.Failover
 // docs/PLACEMENT.md for the protocol and policy guidance.
 type Placement = core.Placement
 
-// Replication configures consensus-replicated library records: each
-// segment's library mirrors every page-record mutation to the Replicas
-// sites after it in ID order before the mutation is acknowledged, so a
-// library-site crash is survived by electing a follower that installs
-// the record from its replicated log — no cluster-wide holder
-// interrogation, no reconstruction pause. Requires Options.Failover
-// (and therefore Reliability); when the follower quorum is lost the
-// takeover falls back to failover's holder rebuild. NewCluster fills in
-// the cluster size. See docs/REPLICATION.md.
-type Replication = core.Replication
-
 // AutoDelta configures the built-in per-page closed-loop Δ controller:
 // the library watches each page's denial signals (count and
 // remaining-window EWMA of KBusy replies) and its write-sharing
@@ -132,16 +129,6 @@ type Replication = core.Replication
 // restored from holder-reported windows on failover. See DESIGN.md §16
 // and docs/TUNING.md.
 type AutoDelta = core.AutoDelta
-
-// Replication acknowledgement disciplines (Replication.SyncMode).
-const (
-	// SyncQuorum gates each mutation on a majority of the replication
-	// group, leader included — the default.
-	SyncQuorum = core.SyncQuorum
-	// SyncAll gates each mutation on every live follower, shrinking the
-	// election quorum to any single group member.
-	SyncAll = core.SyncAll
-)
 
 // FaultPlan is a deterministic, seeded fault-injection plan applied to
 // the cluster's transport fabric (drops, duplicates, delays, reorders,
@@ -212,6 +199,12 @@ var (
 )
 
 // Options configure a cluster. The zero value is usable.
+//
+// Fault tolerance comes in three tiers, each requiring the one before:
+// Reliability (the ARQ layer), Failover (library takeover, with
+// Failover.Replicas for replicated records) and Placement (voluntary
+// migration). NewCluster rejects a broken chain. The cluster size is
+// never an option: NewCluster passes n to every tier.
 type Options struct {
 	// PageSize is the coherence unit in bytes; default 512, the
 	// paper's page size. Must be positive if set.
@@ -243,19 +236,15 @@ type Options struct {
 	// Failover, when non-nil, enables library-site failover on top of
 	// the ARQ layer: segments survive a library-site crash by electing
 	// a successor that rebuilds the page records from surviving
-	// holders. Requires Reliability. &Failover{} takes the defaults.
+	// holders, or, with Failover.Replicas > 0, installs them from its
+	// replicated log. Requires Reliability. &Failover{} takes the
+	// defaults; &Failover{Replicas: 2} makes takeover pauseless.
 	Failover *Failover
 	// Placement, when non-nil, enables voluntary library migration on
 	// top of failover: a segment's library follows its demand, rehoming
 	// itself to a site that dominates the request stream. Requires
 	// Failover. &Placement{} takes the defaults.
 	Placement *Placement
-	// Replication, when non-nil with Replicas > 0, replicates each
-	// segment's library record to follower sites ahead of every
-	// acknowledged mutation, making library takeover pauseless (the
-	// elected follower installs from its log instead of rebuilding from
-	// holders). Requires Failover. &Replication{Replicas: 2} is typical.
-	Replication *Replication
 	// AutoDelta, when non-nil, lets each segment's library tune every
 	// page's Δ online instead of granting the fixed Options.Delta: the
 	// closed loop starts from Delta (clamped into the controller's

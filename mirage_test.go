@@ -33,6 +33,18 @@ func TestClusterSizeValidation(t *testing.T) {
 		t.Fatalf("size 65 should be accepted now: %v", err)
 	}
 	c.Close()
+	// A replication group is the Replicas sites after the library, so
+	// it must leave the library out.
+	replicas := func(r int) Options {
+		return Options{Reliability: &Reliability{}, Failover: &Failover{Replicas: r}}
+	}
+	if _, err := NewCluster(3, replicas(3)); err == nil {
+		t.Fatal("NewCluster accepted Failover.Replicas equal to the cluster size")
+	}
+	if c, err = NewCluster(3, replicas(2)); err != nil {
+		t.Fatalf("Failover.Replicas 2 of 3 sites: %v", err)
+	}
+	c.Close()
 }
 
 func TestLocalReadWrite(t *testing.T) {

@@ -34,10 +34,9 @@ func TestLiveReplicatedTakeoverUnderLoad(t *testing.T) {
 			MaxBackoff:  40 * time.Millisecond,
 			MaxAttempts: 6,
 		},
-		Failover:    &Failover{},
-		Replication: &Replication{Replicas: 2},
-		Obs:         NewObs(),
-		Check:       true,
+		Failover: &Failover{Replicas: 2},
+		Obs:      NewObs(),
+		Check:    true,
 	})
 	if err != nil {
 		t.Fatal(err)
